@@ -15,6 +15,7 @@ from .errors import (
     MissingModalityError,
     PdfuseError,
     ShapeError,
+    TrainingDivergedError,
 )
 from .evaluation import (
     ComparisonReport,
@@ -101,6 +102,7 @@ __all__ = [
     "SkeletonSequence",
     "SubjectRecord",
     "ToyGeneratorSpec",
+    "TrainingDivergedError",
     "augment_test_controls",
     "build_adjacency",
     "build_benchmark",

@@ -27,6 +27,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
+from . import ndnn
 from .direction_discovery import MODES, FitHyper, cosine, fit_direction
 from .errors import ConfigError, FormatError, PdfuseError
 from .evaluation import augment_test_controls, compare_unimodal, evaluate, kfold_split
@@ -41,10 +42,10 @@ from .face_features import (
 )
 from .fusion import DiagnosisModels, FusionTrainConfig, HybridFusionParams, train_fusion
 from .gait_features import (
+    GaitClassifier,
     GaitModelConfig,
     TrainOptions,
     classifier_from_arrays,
-    classifier_to_arrays,
     load_keypoints,
     preprocess,
     train_gait_classifier,
@@ -355,14 +356,24 @@ def _load_face_checkpoint(path: str) -> FaceModel:
     if kind != "face_model":
         raise FormatError(f"{path} holds a {kind!r} checkpoint, expected 'face_model'")
     model = FaceModel(FaceBackboneConfig.from_dict(header["config"]), seed=0)
-    model.load_state(arrays)
+    ndnn.load_state_dict(model.named_layers(), arrays)
     return model
 
 
-def _load_fusion_checkpoint(path: str) -> HybridFusionParams:
-    kind, arrays, _ = load_checkpoint(path)
+def _load_fusion_checkpoint(
+    path: str, gait_clf: GaitClassifier, face_model: FaceModel
+) -> HybridFusionParams:
+    """Fusion parameters, checked against the extractors they were trained on."""
+    kind, arrays, header = load_checkpoint(path)
     if kind != "fusion":
         raise FormatError(f"{path} holds a {kind!r} checkpoint, expected 'fusion'")
+    for name, model in (("gait", gait_clf), ("face", face_model)):
+        recorded = header["config"].get(f"{name}_checksum")
+        if recorded != model.checksum():
+            raise FormatError(
+                f"{path} was trained on a {name} extractor with checksum {recorded}, "
+                f"but the loaded one has {model.checksum()}"
+            )
     return HybridFusionParams.from_arrays(arrays)
 
 
@@ -546,7 +557,7 @@ def _cmd_train_face(args, cfg: PipelineConfig) -> int:
     save_checkpoint(
         out / "face.ckpt",
         "face_model",
-        model.state(),
+        ndnn.state_dict(model.named_layers()),
         config=cfg.face_model.to_dict(),
         meta={"config_hash": cfg.hash()},
     )
@@ -588,7 +599,7 @@ def _cmd_train_gait(args, cfg: PipelineConfig) -> int:
     save_checkpoint(
         out / "gait.ckpt",
         "gait_classifier",
-        classifier_to_arrays(clf),
+        ndnn.state_dict(clf.named_layers()),
         config=cfg.gait_model.to_dict(),
         meta={"config_hash": cfg.hash()},
     )
@@ -668,7 +679,7 @@ def _cmd_evaluate(args, cfg: PipelineConfig) -> int:
     out = _prepare_out(cfg)
     gait_clf, gait_cfg = _load_gait_checkpoint(args.gait)
     face_model = _load_face_checkpoint(args.face)
-    fusion_params = _load_fusion_checkpoint(args.fusion)
+    fusion_params = _load_fusion_checkpoint(args.fusion, gait_clf, face_model)
     models = DiagnosisModels(gait=gait_clf, face=face_model, fusion=fusion_params, gait_cfg=gait_cfg)
     records = _load_records(args.manifest)
     composition = None

@@ -33,6 +33,10 @@ class InversionDivergedError(PdfuseError, RuntimeError):
         super().__init__(f"inversion diverged at iteration {iteration}: {detail}")
 
 
+class TrainingDivergedError(PdfuseError, RuntimeError):
+    """A minibatch loss became non-finite during training."""
+
+
 class MissingModalityError(PdfuseError, ValueError):
     """A subject record lacks a required modality (gait windows or face images)."""
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ndnn
-from .errors import ShapeError
+from .errors import EmptyWindowsError, FormatError, MissingModalityError, ShapeError
 from .face_features import FaceModel, extract_face_features
 from .fusion import (
     DiagnosisModels,
@@ -172,42 +172,36 @@ def evaluate(
 ) -> MetricsReport:
     """Fused diagnosis metrics over a set of subjects.
 
-    A failing subject aborts the run unless ``skip_failures`` is set, in
-    which case it is excluded from accuracy and listed in the report.
-    ``workers`` parallelizes per-subject scoring without changing results
-    (subjects are independent and results are collected in input order).
+    A failing subject aborts the run unless ``skip_failures`` is set and
+    the failure lies in the subject's own data (a missing modality, a
+    malformed file or no usable gait window); such a subject is excluded
+    from accuracy and listed in the report. Any other error, such as models
+    that do not fit together, always aborts. ``workers`` parallelizes
+    per-subject scoring without changing results (subjects are independent
+    and results are collected in input order).
     """
     if not records:
         raise ShapeError("no subjects to evaluate")
+    skippable = (MissingModalityError, FormatError, EmptyWindowsError) if skip_failures else ()
 
     def score(rec: SubjectRecord):
-        return predict_subject(rec, models, resolve)
+        try:
+            return predict_subject(rec, models, resolve), None
+        except skippable as exc:
+            return None, exc
 
-    pairs = []
-    failures = []
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = []
-            futures = [pool.submit(score, rec) for rec in records]
-            for rec, fut in zip(records, futures):
-                try:
-                    outcomes.append((rec, fut.result(), None))
-                except Exception as exc:
-                    outcomes.append((rec, None, exc))
+            outcomes = list(pool.map(score, records))
     else:
-        outcomes = []
-        for rec in records:
-            try:
-                outcomes.append((rec, score(rec), None))
-            except Exception as exc:
-                outcomes.append((rec, None, exc))
-    for rec, pred, exc in outcomes:
+        outcomes = [score(rec) for rec in records]
+    pairs = []
+    failures = []
+    for rec, (pred, exc) in zip(records, outcomes):
         if exc is not None:
-            if not skip_failures:
-                raise exc
             failures.append({"subject_id": rec.subject_id, "error": str(exc)})
-            continue
-        pairs.append((rec.subject_id, rec.label, pred.is_pd))
+        else:
+            pairs.append((rec.subject_id, rec.label, pred.is_pd))
     return summarize_predictions(pairs, failures)
 
 
@@ -222,17 +216,12 @@ def train_linear_head(
         raise ShapeError("linear head training needs both classes")
     rng = np.random.default_rng(seed)
     head = ndnn.Dense(features.shape[1], 2, rng)
-    optimizer = ndnn.Adam([(head, k) for k in head.params], learning_rate=learning_rate)
-    n = features.shape[0]
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            idx = order[start : start + batch_size]
-            head.zero_grads()
-            logits, cache = head.forward(features[idx])
-            _, grad = ndnn.cross_entropy(logits, labels[idx])
-            head.backward(grad, cache)
-            optimizer.step()
+
+    def forward(idx):
+        logits, cache = head.forward(features[idx])
+        return logits, labels[idx], lambda grad_logits: head.backward(grad_logits, cache)
+
+    ndnn.fit([head], features.shape[0], forward, epochs, batch_size, learning_rate, rng)
     return head
 
 

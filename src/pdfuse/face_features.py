@@ -154,23 +154,12 @@ class FaceModel:
     def parameter_count(self) -> int:
         return sum(p.size for layer in self.trainable_layers() for p in layer.params.values())
 
-    def state(self) -> dict[str, np.ndarray]:
-        out = {}
-        for i, layer in enumerate(self.trainable_layers()):
-            for name, value in layer.params.items():
-                out[f"layer{i:02d}.{name}"] = value
-        return out
-
-    def load_state(self, state: dict[str, np.ndarray]) -> None:
-        for i, layer in enumerate(self.trainable_layers()):
-            for name in layer.params:
-                key = f"layer{i:02d}.{name}"
-                if key not in state:
-                    raise ShapeError(f"face model state missing {key}")
-                layer.params[name][...] = state[key]
+    def named_layers(self) -> dict:
+        """Checkpoint names: ``layerNN`` over the trainable layers."""
+        return {f"layer{i:02d}": layer for i, layer in enumerate(self.trainable_layers())}
 
     def checksum(self) -> str:
-        return ndnn.params_checksum(self.state())
+        return ndnn.params_checksum(ndnn.state_dict(self.named_layers()))
 
 
 def images_to_bchw(images_bhwc: np.ndarray) -> np.ndarray:
@@ -302,18 +291,15 @@ def train_expression_classifier(
     y_test = labels[test_idx]
 
     model = FaceModel(cfg, seed=opts.seed)
-    layers = model.trainable_layers()
-    optimizer = ndnn.Adam(ndnn.param_entries(layers), learning_rate=opts.learning_rate)
-    n = x_train.shape[0]
-    for _ in range(opts.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, opts.batch_size):
-            idx = order[start : start + opts.batch_size]
-            ndnn.zero_all_grads(layers)
-            logits, _, cache = model.forward(x_train[idx])
-            _, grad_logits = ndnn.cross_entropy(logits, y_train[idx])
-            model.backward(grad_logits, cache)
-            optimizer.step()
+
+    def forward(idx):
+        logits, _, cache = model.forward(x_train[idx])
+        return logits, y_train[idx], lambda grad_logits: model.backward(grad_logits, cache)
+
+    ndnn.fit(
+        model.trainable_layers(), x_train.shape[0], forward, opts.epochs, opts.batch_size,
+        opts.learning_rate, rng,
+    )
 
     def accuracy(x, y):
         preds = []

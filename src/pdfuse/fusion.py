@@ -112,19 +112,55 @@ class HybridFusionParams:
         return ndnn.params_checksum(self.arrays())
 
 
-def _fuse_batch(f_gait: np.ndarray, f_face: np.ndarray, params: HybridFusionParams):
-    """Vectorized fuse of (n, d_g) and (n, d_f) features; returns logits and caches."""
-    s_g = f_gait @ params.gait_score_w + params.gait_score_b
-    s_f = f_face @ params.face_score_w + params.face_score_b
-    wide_g = np.concatenate([f_gait, s_g[:, None]], axis=1)
-    wide_f = np.concatenate([f_face, s_f[:, None]], axis=1)
-    logits = (
-        wide_g @ params.gait_class_w.T
-        + params.gait_class_b
-        + wide_f @ params.face_class_w.T
-        + params.face_class_b
+def _fusion_layers(params: HybridFusionParams) -> list[ndnn.Dense]:
+    """Gait score, gait class, face score and face class layers over ``params``.
+
+    A score layer maps d -> 1 and a class layer d + 1 -> 2. The layers hold
+    copies, so training them leaves ``params`` as it was.
+    """
+    return [
+        ndnn.Dense.from_arrays(params.gait_score_w[:, None], [params.gait_score_b]),
+        ndnn.Dense.from_arrays(params.gait_class_w.T, params.gait_class_b),
+        ndnn.Dense.from_arrays(params.face_score_w[:, None], [params.face_score_b]),
+        ndnn.Dense.from_arrays(params.face_class_w.T, params.face_class_b),
+    ]
+
+
+def _params_from_layers(layers: list[ndnn.Dense]) -> HybridFusionParams:
+    gait_score, gait_class, face_score, face_class = (layer.params for layer in layers)
+    return HybridFusionParams(
+        gait_score_w=gait_score["weight"][:, 0],
+        gait_score_b=float(gait_score["bias"][0]),
+        gait_class_w=gait_class["weight"].T,
+        gait_class_b=gait_class["bias"],
+        face_score_w=face_score["weight"][:, 0],
+        face_score_b=float(face_score["bias"][0]),
+        face_class_w=face_class["weight"].T,
+        face_class_b=face_class["bias"],
     )
-    return logits, (wide_g, wide_f)
+
+
+def _fuse(layers: list[ndnn.Dense], f_gait: np.ndarray, f_face: np.ndarray):
+    """Logits of (n, d_g) and (n, d_f) feature batches, and a backward function.
+
+    Each modality's score is appended to its features as one more column
+    before its class layer; the logits are the sum over modalities.
+    ``backward(grad_logits)`` accumulates every layer's gradients.
+    """
+    logits = 0.0
+    caches = []
+    for score, head, f in ((layers[0], layers[1], f_gait), (layers[2], layers[3], f_face)):
+        s, score_cache = score.forward(f)
+        modality_logits, head_cache = head.forward(np.concatenate([f, s], axis=1))
+        logits = logits + modality_logits
+        caches.append((score, score_cache, head, head_cache))
+
+    def backward(grad_logits):
+        for score, score_cache, head, head_cache in caches:
+            grad_wide = head.backward(grad_logits, head_cache)
+            score.backward(grad_wide[:, -1:], score_cache)
+
+    return logits, backward
 
 
 def hybrid_fuse(f_gait: np.ndarray, f_face: np.ndarray, params: HybridFusionParams) -> np.ndarray:
@@ -137,7 +173,7 @@ def hybrid_fuse(f_gait: np.ndarray, f_face: np.ndarray, params: HybridFusionPara
         raise ShapeError(f"face feature shape {f_face.shape}, expected ({params.face_dim},)")
     if not (np.all(np.isfinite(f_gait)) and np.all(np.isfinite(f_face))):
         raise ShapeError("feature vectors contain non-finite values")
-    logits, _ = _fuse_batch(f_gait[None], f_face[None], params)
+    logits, _ = _fuse(_fusion_layers(params), f_gait[None], f_face[None])
     return logits[0]
 
 
@@ -147,49 +183,6 @@ class FusionTrainConfig:
     epochs: int = 100
     batch_size: int = 16
     seed: int = 0
-
-
-class _ParamsAsLayer(ndnn.Layer):
-    """Adapter so the shared Adam can drive HybridFusionParams."""
-
-    def __init__(self, params: HybridFusionParams):
-        super().__init__()
-        self.fusion = params
-        self.params = {
-            "gait_score_w": params.gait_score_w,
-            "gait_class_w": params.gait_class_w,
-            "gait_class_b": params.gait_class_b,
-            "face_score_w": params.face_score_w,
-            "face_class_w": params.face_class_w,
-            "face_class_b": params.face_class_b,
-            "score_b": np.asarray([params.gait_score_b, params.face_score_b]),
-        }
-        self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
-
-    def sync_scalars(self):
-        self.fusion.gait_score_b = float(self.params["score_b"][0])
-        self.fusion.face_score_b = float(self.params["score_b"][1])
-
-
-def _batch_loss_and_grads(
-    layer: _ParamsAsLayer, f_gait: np.ndarray, f_face: np.ndarray, labels: np.ndarray
-):
-    """Mean cross-entropy on one batch, accumulating gradients into ``layer``."""
-    params = layer.fusion
-    logits, (wide_g, wide_f) = _fuse_batch(f_gait, f_face, params)
-    loss, grad_logits = ndnn.cross_entropy(logits, labels)
-    # class heads
-    layer.grads["gait_class_w"] += grad_logits.T @ wide_g
-    layer.grads["face_class_w"] += grad_logits.T @ wide_f
-    layer.grads["gait_class_b"] += grad_logits.sum(axis=0)
-    layer.grads["face_class_b"] += grad_logits.sum(axis=0)
-    # gradient w.r.t. the scalar scores flows through the widened column
-    grad_s_g = grad_logits @ params.gait_class_w[:, -1]
-    grad_s_f = grad_logits @ params.face_class_w[:, -1]
-    layer.grads["gait_score_w"] += f_gait.T @ grad_s_g
-    layer.grads["face_score_w"] += f_face.T @ grad_s_f
-    layer.grads["score_b"] += np.asarray([grad_s_g.sum(), grad_s_f.sum()])
-    return loss, logits
 
 
 def train_fusion(
@@ -213,29 +206,19 @@ def train_fusion(
     if n < 2 or np.unique(labels).size < 2:
         raise ShapeError("fusion training needs subjects of both classes")
 
-    params = HybridFusionParams.init(features_gait.shape[1], features_face.shape[1], seed=cfg.seed)
-    layer = _ParamsAsLayer(params)
-    optimizer = ndnn.Adam([(layer, k) for k in layer.params], learning_rate=cfg.learning_rate)
-    rng = np.random.default_rng(cfg.seed)
-    trace = {"loss": [], "accuracy": []}
-    for _ in range(cfg.epochs):
-        order = rng.permutation(n)
-        epoch_loss = 0.0
-        correct = 0
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            layer.zero_grads()
-            loss, logits = _batch_loss_and_grads(
-                layer, features_gait[idx], features_face[idx], labels[idx]
-            )
-            y = labels[idx]
-            optimizer.step()
-            layer.sync_scalars()
-            epoch_loss += loss * len(idx)
-            correct += int((logits.argmax(axis=1) == y).sum())
-        trace["loss"].append(epoch_loss / n)
-        trace["accuracy"].append(correct / n)
-    return params, trace
+    layers = _fusion_layers(
+        HybridFusionParams.init(features_gait.shape[1], features_face.shape[1], seed=cfg.seed)
+    )
+
+    def forward(idx):
+        logits, backward = _fuse(layers, features_gait[idx], features_face[idx])
+        return logits, labels[idx], backward
+
+    trace = ndnn.fit(
+        layers, n, forward, cfg.epochs, cfg.batch_size, cfg.learning_rate,
+        np.random.default_rng(cfg.seed),
+    )
+    return _params_from_layers(layers), trace
 
 
 @dataclass(frozen=True)

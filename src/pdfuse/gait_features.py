@@ -492,26 +492,6 @@ class GaitModel:
             g = block.backward(g, c)
         return g
 
-    def state(self) -> dict[str, np.ndarray]:
-        out = {}
-        for i, layer in enumerate(self.layers()):
-            for name, value in layer.params.items():
-                out[f"layer{i:02d}.{name}"] = value
-        return out
-
-    def load_state(self, state: dict[str, np.ndarray]) -> None:
-        for i, layer in enumerate(self.layers()):
-            for name in layer.params:
-                key = f"layer{i:02d}.{name}"
-                if key not in state:
-                    raise FormatError(f"gait model state missing {key}")
-                if state[key].shape != layer.params[name].shape:
-                    raise FormatError(
-                        f"gait model state {key}: shape {state[key].shape} vs "
-                        f"{layer.params[name].shape}"
-                    )
-                layer.params[name][...] = state[key]
-
 
 def windows_to_bctv(windows: np.ndarray) -> np.ndarray:
     """(n, T, V, C) windows -> (n, C, T, V) network layout."""
@@ -551,19 +531,14 @@ class GaitClassifier:
         logits, _ = self.head.forward(feature[None, :])
         return logits[0]
 
-    def state(self) -> dict[str, np.ndarray]:
-        out = self.model.state()
-        for name, value in self.head.params.items():
-            out[f"head.{name}"] = value
-        return out
-
-    def load_state(self, state: dict[str, np.ndarray]) -> None:
-        self.model.load_state(state)
-        for name in self.head.params:
-            self.head.params[name][...] = state[f"head.{name}"]
+    def named_layers(self) -> dict:
+        """Checkpoint names: ``layerNN`` over the extractor's layers, then ``head``."""
+        named = {f"layer{i:02d}": layer for i, layer in enumerate(self.model.layers())}
+        named["head"] = self.head
+        return named
 
     def checksum(self) -> str:
-        return ndnn.params_checksum(self.state())
+        return ndnn.params_checksum(ndnn.state_dict(self.named_layers()))
 
 
 def _stack_subject_windows(per_subject_windows):
@@ -597,52 +572,36 @@ def train_gait_classifier(
     if len(set(labels.tolist())) < 2:
         raise ShapeError("training manifest contains a single class; need both")
     model = GaitModel(cfg, seed=opts.seed)
-    rng = np.random.default_rng(opts.seed)
-    head = ndnn.Dense(cfg.embedding_dim, 2, rng)
-    layers = model.layers() + [head]
-    optimizer = ndnn.Adam(ndnn.param_entries(layers), learning_rate=opts.learning_rate)
+    head = ndnn.Dense(cfg.embedding_dim, 2, np.random.default_rng(opts.seed))
     bctv = [windows_to_bctv(w) for w, _ in subjects]
 
-    trace = {"loss": [], "accuracy": []}
-    order_rng = np.random.default_rng(opts.seed)
-    n = len(subjects)
-    for _ in range(opts.epochs):
-        order = order_rng.permutation(n)
-        epoch_loss = 0.0
-        correct = 0
-        for start in range(0, n, opts.batch_size):
-            batch_idx = order[start : start + opts.batch_size]
-            batch_windows = [bctv[i] for i in batch_idx]
-            batch_labels = labels[batch_idx]
-            stacked, averaging = _stack_subject_windows(batch_windows)
-            ndnn.zero_all_grads(layers)
-            emb, model_cache = model.forward(stacked)
-            features = averaging @ emb
-            logits, head_cache = head.forward(features)
-            loss, grad_logits = ndnn.cross_entropy(logits, batch_labels)
-            grad_features = head.backward(grad_logits, head_cache)
-            grad_emb = averaging.T @ grad_features
-            model.backward(grad_emb, model_cache)
-            optimizer.step()
-            epoch_loss += loss * len(batch_idx)
-            correct += int((logits.argmax(axis=1) == batch_labels).sum())
-        trace["loss"].append(epoch_loss / n)
-        trace["accuracy"].append(correct / n)
+    def forward(idx):
+        stacked, averaging = _stack_subject_windows([bctv[i] for i in idx])
+        emb, model_cache = model.forward(stacked)
+        logits, head_cache = head.forward(averaging @ emb)
+
+        def backward(grad_logits):
+            model.backward(averaging.T @ head.backward(grad_logits, head_cache), model_cache)
+
+        return logits, labels[idx], backward
+
+    trace = ndnn.fit(
+        model.layers() + [head], len(subjects), forward, opts.epochs, opts.batch_size,
+        opts.learning_rate, np.random.default_rng(opts.seed),
+    )
     return GaitClassifier(model, head), trace
-
-
-def classifier_to_arrays(clf: GaitClassifier) -> dict[str, np.ndarray]:
-    return clf.state()
 
 
 def classifier_from_arrays(arrays: dict[str, np.ndarray], cfg: GaitModelConfig) -> GaitClassifier:
     model = GaitModel(cfg, seed=0)
     head = ndnn.Dense(cfg.embedding_dim, 2, np.random.default_rng(0))
     clf = GaitClassifier(model, head)
-    clf.load_state(arrays)
+    ndnn.load_state_dict(clf.named_layers(), arrays)
     return clf
 
 
 def predict_is_pd(logits: np.ndarray) -> bool:
-    """Argmax with ties broken toward the PD index."""
+    """Argmax with ties broken toward the PD index; non-finite logits raise."""
+    if not np.all(np.isfinite(logits)):
+        raise ShapeError(f"logits contain non-finite values: {logits}")
     return bool(logits[PD_INDEX] >= logits.max())

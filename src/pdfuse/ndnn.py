@@ -15,7 +15,7 @@ import hashlib
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import FormatError, ShapeError, TrainingDivergedError
 
 
 class Layer:
@@ -40,6 +40,15 @@ class Dense(Layer):
         scale = np.sqrt(2.0 / in_dim)
         self.add_param("weight", rng.normal(0.0, scale, size=(in_dim, out_dim)))
         self.add_param("bias", np.zeros(out_dim))
+
+    @classmethod
+    def from_arrays(cls, weight, bias) -> "Dense":
+        """A layer holding copies of an (in_dim, out_dim) weight and an (out_dim,) bias."""
+        layer = cls.__new__(cls)
+        Layer.__init__(layer)
+        layer.add_param("weight", np.array(weight, dtype=np.float64, order="C"))
+        layer.add_param("bias", np.array(bias, dtype=np.float64))
+        return layer
 
     def forward(self, x):
         return x @ self.params["weight"] + self.params["bias"], x
@@ -291,17 +300,70 @@ class Adam:
             layer.params[name] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-def param_entries(layers) -> list:
-    entries = []
-    for layer in layers:
-        for name in layer.params:
-            entries.append((layer, name))
-    return entries
-
-
 def zero_all_grads(layers) -> None:
     for layer in layers:
         layer.zero_grads()
+
+
+def fit(layers, n, forward, epochs, batch_size, learning_rate, rng) -> dict:
+    """Adam on softmax cross-entropy over shuffled minibatches of ``n`` examples.
+
+    ``forward(idx)`` runs the model on the examples ``idx`` and returns
+    ``(logits, labels, backward)``, where ``backward(grad_logits)``
+    accumulates gradients into the parameters of ``layers``. Each epoch
+    draws one permutation from ``rng``. Returns the per-epoch mean loss and
+    accuracy as ``{"loss": [...], "accuracy": [...]}``; raises
+    TrainingDivergedError, before the update, on a non-finite batch loss.
+    """
+    optimizer = Adam([(layer, name) for layer in layers for name in layer.params], learning_rate)
+    trace = {"loss": [], "accuracy": []}
+    for epoch in range(epochs):
+        order = rng.permutation(n)
+        epoch_loss = 0.0
+        correct = 0
+        for start in range(0, n, batch_size):
+            idx = order[start : start + batch_size]
+            zero_all_grads(layers)
+            logits, labels, backward = forward(idx)
+            loss, grad_logits = cross_entropy(logits, labels)
+            if not np.isfinite(loss):
+                raise TrainingDivergedError(
+                    f"non-finite loss {loss} at epoch {epoch}, batch {start // batch_size}"
+                )
+            backward(grad_logits)
+            optimizer.step()
+            epoch_loss += loss * len(idx)
+            correct += int((logits.argmax(axis=1) == labels).sum())
+        trace["loss"].append(epoch_loss / n)
+        trace["accuracy"].append(correct / n)
+    return trace
+
+
+def state_dict(named_layers: dict) -> dict[str, np.ndarray]:
+    """Every parameter of ``named_layers`` (name -> layer), keyed ``"<name>.<param>"``."""
+    return {
+        f"{prefix}.{name}": value
+        for prefix, layer in named_layers.items()
+        for name, value in layer.params.items()
+    }
+
+
+def load_state_dict(named_layers: dict, state: dict[str, np.ndarray]) -> None:
+    """Copy ``state`` into the parameters of ``named_layers`` in place.
+
+    Raises FormatError, before any parameter changes, on a missing key, an
+    unexpected key or a shape that differs from the parameter's.
+    """
+    target = state_dict(named_layers)
+    missing = sorted(target.keys() - state.keys())
+    unexpected = sorted(state.keys() - target.keys())
+    if missing or unexpected:
+        raise FormatError(f"state does not fit the model: missing {missing}, unexpected {unexpected}")
+    for key, value in target.items():
+        if np.shape(state[key]) != value.shape:
+            raise FormatError(f"state {key}: shape {np.shape(state[key])}, expected {value.shape}")
+    for key, value in target.items():
+        value[...] = state[key]
 
 
 def params_checksum(state: dict[str, np.ndarray]) -> str:

@@ -10,15 +10,8 @@ from __future__ import annotations
 
 import hashlib
 
-import numpy as np
-
 
 def derive_seed(root_seed: int, name: str) -> int:
     """Return the named sub-seed for ``name`` under ``root_seed``."""
     digest = hashlib.sha256(f"{root_seed}:{name}".encode()).digest()
     return int.from_bytes(digest[:8], "little") & (2**63 - 1)
-
-
-def rng_for(root_seed: int, name: str) -> np.random.Generator:
-    """Return a generator seeded with the named sub-seed."""
-    return np.random.default_rng(derive_seed(root_seed, name))

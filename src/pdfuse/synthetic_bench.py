@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .direction_discovery import DirectionVector
+from .direction_discovery import DirectionVector, _sigmoid
 from .errors import ConfigError, ShapeError
 from .face_features import EXPRESSIONS
 from .gait_features import (
@@ -70,15 +70,6 @@ class ToyGeneratorSpec:
     @classmethod
     def from_dict(cls, obj: dict) -> "ToyGeneratorSpec":
         return cls(**obj)
-
-
-def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
 
 
 class ToyGenerator(Generator):

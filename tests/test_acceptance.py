@@ -25,8 +25,8 @@ from pdfuse.face_features import (
 from pdfuse.fusion import (
     FusionTrainConfig,
     HybridFusionParams,
-    _batch_loss_and_grads,
-    _ParamsAsLayer,
+    _fuse,
+    _fusion_layers,
     hybrid_fuse,
     train_fusion,
 )
@@ -217,29 +217,32 @@ def test_criterion_5_gradient_correctness(acceptance_log):
     rng = np.random.default_rng(3)
     f_gait, f_face = rng.normal(size=(6, 3)), rng.normal(size=(6, 4))
     fusion_labels = np.array([0, 1, 0, 1, 1, 0])
-    layer = _ParamsAsLayer(HybridFusionParams.init(3, 4, seed=4))
-    layer.zero_grads()
-    _batch_loss_and_grads(layer, f_gait, f_face, fusion_labels)
+    fusion_params = HybridFusionParams.init(3, 4, seed=4)
+    fusion_layers = _fusion_layers(fusion_params)
+    ndnn.zero_all_grads(fusion_layers)
+    fused, fusion_backward = _fuse(fusion_layers, f_gait, f_face)
+    fusion_backward(ndnn.cross_entropy(fused, fusion_labels)[1])
 
     def fusion_loss():
-        layer.sync_scalars()
-        probe = _ParamsAsLayer(layer.fusion)
-        return _batch_loss_and_grads(probe, f_gait, f_face, fusion_labels)[0]
+        return ndnn.cross_entropy(_fuse(fusion_layers, f_gait, f_face)[0], fusion_labels)[0]
 
     worst_fusion = 0.0
-    for name, value in layer.params.items():
-        fd = ndnn.finite_difference_gradient(fusion_loss, value)
-        worst_fusion = max(worst_fusion, ndnn.relative_error(layer.grads[name], fd))
-    layer.sync_scalars()
+    fusion_checked = 0
+    for layer in fusion_layers:
+        for name, value in layer.params.items():
+            fd = ndnn.finite_difference_gradient(fusion_loss, value)
+            worst_fusion = max(worst_fusion, ndnn.relative_error(layer.grads[name], fd))
+            fusion_checked += value.size
+    all_fusion = fusion_checked == sum(a.size for a in fusion_params.arrays().values())
 
     elapsed = time.perf_counter() - started
-    passed = worst_gait <= 1e-4 and worst_fusion <= 1e-4 and elapsed < 60.0
+    passed = worst_gait <= 1e-4 and worst_fusion <= 1e-4 and all_fusion and elapsed < 60.0
     acceptance_log(
         5,
         "gradient-correctness",
         passed,
         f"worst relative error: graph blocks {worst_gait:.2e}, fusion head "
-        f"{worst_fusion:.2e}, {elapsed:.1f} s",
+        f"{worst_fusion:.2e} over {fusion_checked} parameters, {elapsed:.1f} s",
     )
 
 

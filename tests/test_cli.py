@@ -473,6 +473,24 @@ class TestErrorReporting:
         record = json.loads(capsys.readouterr().err)
         assert "does not exist" in record["message"]
 
+    def test_fusion_checkpoint_rejects_other_extractors(self, pipeline, tmp_path, capsys):
+        """A gait checkpoint retrained under another seed no longer matches
+        the checksum recorded in the fusion checkpoint."""
+        run_ok(
+            [
+                "train-gait", "--config", str(pipeline["config"]), "--seed", "1",
+                "--manifest", str(pipeline["manifest"]), "--out", str(tmp_path / "gait"),
+            ]
+        )
+        capsys.readouterr()
+        argv = TestEvaluateCommand().evaluate_argv(pipeline, tmp_path / "ev")
+        argv[argv.index("--gait") + 1] = str(tmp_path / "gait" / "gait.ckpt")
+        assert main(argv) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "FormatError"
+        assert "trained on a gait extractor with checksum" in record["message"]
+        assert not (tmp_path / "ev" / "metrics.json").exists()
+
     def test_checkpoint_kind_mismatch(self, pipeline, tmp_path, capsys):
         argv = [
             "evaluate",

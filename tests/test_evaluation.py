@@ -222,6 +222,14 @@ class TestEvaluate:
         assert report.failures[0]["subject_id"] == broken.subject_id
         assert "face image missing" in report.failures[0]["error"]
 
+    def test_model_mismatch_aborts_even_when_skipping(self, tiny_bench_dir, bench_models):
+        manifest = load_manifest(tiny_bench_dir / "manifest.jsonl")
+        wide_fusion = HybridFusionParams.init(5, 3, seed=13)  # the gait extractor gives 4 dims
+        models = dataclasses.replace(bench_models, fusion=wide_fusion)
+        for workers in (1, 2):
+            with pytest.raises(ShapeError, match="gait feature shape"):
+                evaluate(models, manifest.records, manifest.resolve, skip_failures=True, workers=workers)
+
     def test_no_subjects_rejected(self, bench_models):
         with pytest.raises(ShapeError, match="no subjects"):
             evaluate(bench_models, [], lambda p: p)

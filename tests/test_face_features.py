@@ -6,7 +6,7 @@ import pytest
 
 from pdfuse import ndnn
 from pdfuse.direction_discovery import DirectionVector
-from pdfuse.errors import ConfigError, ShapeError
+from pdfuse.errors import ConfigError, FormatError, ShapeError
 from pdfuse.face_features import (
     EXPRESSIONS,
     ExpressionReport,
@@ -113,6 +113,28 @@ class TestExtractFaceFeatures:
         model = FaceModel(SMALL_CFG, seed=3)
         before = model.checksum()
         extract_face_features(random_images(2, seed=7), model)
+        assert model.checksum() == before
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("layer02.bias", None, r"missing \['layer02.bias'\]"),
+            ("layer03.bias", np.zeros(7), r"unexpected \['layer03.bias'\]"),
+            ("layer00.bias", np.zeros(1), r"layer00.bias: shape \(1,\), expected \(8,\)"),
+        ],
+        ids=["missing", "unexpected", "broadcastable-shape"],
+    )
+    def test_load_rejects_state_that_does_not_fit(self, key, value, message):
+        cfg = FaceBackboneConfig(image_shape=(8, 8, 1), conv_channels=(8,), embedding_dim=4)
+        model = FaceModel(cfg, seed=3)
+        state = ndnn.state_dict(model.named_layers())
+        if value is None:
+            del state[key]
+        else:
+            state[key] = value
+        before = model.checksum()
+        with pytest.raises(FormatError, match=message):
+            ndnn.load_state_dict(model.named_layers(), state)
         assert model.checksum() == before
 
     def test_empty_input_rejected(self):

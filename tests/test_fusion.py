@@ -17,8 +17,9 @@ from pdfuse.fusion import (
     FusionTrainConfig,
     HybridFusionParams,
     Prediction,
-    _batch_loss_and_grads,
-    _ParamsAsLayer,
+    _fuse,
+    _fusion_layers,
+    _params_from_layers,
     hybrid_fuse,
     train_fusion,
 )
@@ -100,6 +101,13 @@ class TestHybridFuse:
         x_g, x_f = np.ones(3), np.ones(4)
         npt.assert_array_equal(hybrid_fuse(x_g, x_f, restored), hybrid_fuse(x_g, x_f, params))
 
+    def test_layers_round_trip_keeps_score_biases(self):
+        params = HybridFusionParams.init(3, 4, seed=9)
+        params.gait_score_b, params.face_score_b = 0.25, -1.5
+        restored = _params_from_layers(_fusion_layers(params))
+        assert (restored.gait_score_b, restored.face_score_b) == (0.25, -1.5)
+        assert restored.checksum() == params.checksum()
+
 
 def test_fusion_gradients_match_finite_differences():
     """Every fusion parameter, including both score biases, at 1e-6."""
@@ -109,22 +117,24 @@ def test_fusion_gradients_match_finite_differences():
     f_face = rng.normal(size=(n, d_f))
     labels = np.array([0, 1, 0, 1, 1, 0])
     params = HybridFusionParams.init(d_g, d_f, seed=4)
-    layer = _ParamsAsLayer(params)
+    params.gait_score_b, params.face_score_b = 0.3, -0.2
+    layers = _fusion_layers(params)
 
-    layer.zero_grads()
-    _batch_loss_and_grads(layer, f_gait, f_face, labels)
+    ndnn.zero_all_grads(layers)
+    logits, backward = _fuse(layers, f_gait, f_face)
+    backward(ndnn.cross_entropy(logits, labels)[1])
 
     def loss_fn():
-        layer.sync_scalars()
-        probe = _ParamsAsLayer(layer.fusion)
-        loss, _ = _batch_loss_and_grads(probe, f_gait, f_face, labels)
-        return loss
+        return ndnn.cross_entropy(_fuse(layers, f_gait, f_face)[0], labels)[0]
 
     worst = 0.0
-    for name, value in layer.params.items():
-        fd = ndnn.finite_difference_gradient(loss_fn, value)
-        worst = max(worst, ndnn.relative_error(layer.grads[name], fd))
-    layer.sync_scalars()
+    checked = 0
+    for layer in layers:
+        for name, value in layer.params.items():
+            fd = ndnn.finite_difference_gradient(loss_fn, value)
+            worst = max(worst, ndnn.relative_error(layer.grads[name], fd))
+            checked += value.size
+    assert checked == sum(a.size for a in params.arrays().values())
     assert worst <= 1e-6, f"worst relative error {worst:.3e}"
 
 

@@ -15,6 +15,7 @@ from pdfuse.gait_features import (
     COCO_EDGES,
     NUM_JOINTS,
     BranchSpec,
+    GaitClassifier,
     GaitModel,
     GaitModelConfig,
     SkeletonGraph,
@@ -22,7 +23,6 @@ from pdfuse.gait_features import (
     TrainOptions,
     build_adjacency,
     classifier_from_arrays,
-    classifier_to_arrays,
     gait_forward,
     load_keypoints,
     predict_is_pd,
@@ -242,15 +242,33 @@ class TestGaitModel:
         cfg = TINY_CFG
         model = GaitModel(cfg, seed=8)
         head = ndnn.Dense(cfg.embedding_dim, 2, np.random.default_rng(8))
-        from pdfuse.gait_features import GaitClassifier
-
         clf = GaitClassifier(model, head)
         windows = tiny_windows(9)
-        restored = classifier_from_arrays(classifier_to_arrays(clf), cfg)
+        restored = classifier_from_arrays(ndnn.state_dict(clf.named_layers()), cfg)
         npt.assert_array_equal(
             restored.subject_feature(windows), clf.subject_feature(windows)
         )
         assert restored.checksum() == clf.checksum()
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("head.bias", None, r"missing \['head.bias'\]"),
+            ("layer99.weight", np.zeros(2), r"unexpected \['layer99.weight'\]"),
+            ("head.bias", np.zeros(1), r"head.bias: shape \(1,\), expected \(2,\)"),
+        ],
+        ids=["missing", "unexpected", "broadcastable-shape"],
+    )
+    def test_load_rejects_state_that_does_not_fit(self, key, value, message):
+        cfg = TINY_CFG
+        head = ndnn.Dense(cfg.embedding_dim, 2, np.random.default_rng(8))
+        state = ndnn.state_dict(GaitClassifier(GaitModel(cfg, seed=8), head).named_layers())
+        if value is None:
+            del state[key]
+        else:
+            state[key] = value
+        with pytest.raises(FormatError, match=message):
+            classifier_from_arrays(state, cfg)
 
     def test_branch_channel_mismatch_rejected(self):
         with pytest.raises(ConfigError, match="branch"):
@@ -286,3 +304,8 @@ class TestTraining:
         assert predict_is_pd(np.array([1.0, 0.0]))
         assert not predict_is_pd(np.array([0.0, 1.0]))
         assert predict_is_pd(np.array([0.5, 0.5]))  # tie breaks toward PD
+
+    @pytest.mark.parametrize("logits", [[np.nan, 1.0], [np.nan, np.nan], [0.0, np.inf]])
+    def test_predict_is_pd_rejects_non_finite_logits(self, logits):
+        with pytest.raises(ShapeError, match="non-finite"):
+            predict_is_pd(np.array(logits))

@@ -10,6 +10,7 @@ import numpy.testing as npt
 import pytest
 
 from pdfuse import ndnn
+from pdfuse.errors import TrainingDivergedError
 
 RNG = np.random.default_rng(20240229)
 GRAD_TOL = 1e-6
@@ -132,6 +133,53 @@ def test_adam_minimizes_quadratic():
         layer.grads["w"] += 2 * (layer.params["w"] - target)
         opt.step()
     npt.assert_allclose(layer.params["w"], target, atol=1e-3)
+
+
+def test_fit_matches_a_hand_written_loop():
+    features = np.random.default_rng(0).normal(size=(10, 3))
+    labels = np.array([0, 1] * 5)
+    model, reference = (ndnn.Dense(3, 2, np.random.default_rng(1)) for _ in range(2))
+
+    def forward(idx):
+        logits, cache = model.forward(features[idx])
+        return logits, labels[idx], lambda grad: model.backward(grad, cache)
+
+    trace = ndnn.fit([model], 10, forward, 3, 4, 0.01, np.random.default_rng(2))
+
+    opt = ndnn.Adam([(reference, "weight"), (reference, "bias")], learning_rate=0.01)
+    order_rng = np.random.default_rng(2)
+    expected = {"loss": [], "accuracy": []}
+    for _ in range(3):
+        order = order_rng.permutation(10)
+        total, correct = 0.0, 0
+        for start in range(0, 10, 4):
+            idx = order[start : start + 4]
+            reference.zero_grads()
+            logits, cache = reference.forward(features[idx])
+            loss, grad = ndnn.cross_entropy(logits, labels[idx])
+            reference.backward(grad, cache)
+            opt.step()
+            total += loss * len(idx)
+            correct += int((logits.argmax(axis=1) == labels[idx]).sum())
+        expected["loss"].append(total / 10)
+        expected["accuracy"].append(correct / 10)
+    assert trace == expected
+    for name in reference.params:
+        npt.assert_array_equal(model.params[name], reference.params[name])
+
+
+def test_fit_raises_on_a_non_finite_loss_before_updating():
+    layer = ndnn.Dense(2, 2, np.random.default_rng(0))
+    before = {name: value.copy() for name, value in layer.params.items()}
+
+    def forward(idx):
+        logits = np.array([[np.nan, 0.0]] * len(idx))
+        return logits, np.zeros(len(idx), dtype=int), lambda grad: None
+
+    with pytest.raises(TrainingDivergedError, match="epoch 0, batch 0"):
+        ndnn.fit([layer], 4, forward, 2, 2, 0.1, np.random.default_rng(0))
+    for name, value in layer.params.items():
+        npt.assert_array_equal(value, before[name])
 
 
 def test_params_checksum_stable_and_sensitive():
