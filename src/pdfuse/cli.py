@@ -8,9 +8,8 @@ the seed, effective config, config hash, and wall-clock timings. Metric
 files never contain timings, so reruns with the same config and seed are
 byte-identical.
 
-Environment overrides: ``PDFUSE_OUTDIR`` (output directory) and
-``PDFUSE_WORKERS`` (worker count). Explicit flags beat the environment,
-which beats the config file.
+Environment override: ``PDFUSE_OUTDIR`` (output directory). An explicit
+``--out`` beats the environment, which beats the config file.
 """
 
 from __future__ import annotations
@@ -108,7 +107,6 @@ class PipelineConfig:
 
     seed: int = 0
     out_dir: str = "runs"
-    workers: int = 1
     benchmark: BenchmarkSpec = field(default_factory=BenchmarkSpec)
     inversion: InversionConfig = field(default_factory=InversionConfig)
     direction: DirectionSettings = field(default_factory=DirectionSettings)
@@ -123,7 +121,6 @@ class PipelineConfig:
         return {
             "seed": self.seed,
             "out_dir": self.out_dir,
-            "workers": self.workers,
             "benchmark": self.benchmark.to_dict(),
             "inversion": dataclasses.asdict(self.inversion),
             "direction": dataclasses.asdict(self.direction),
@@ -224,7 +221,7 @@ def load_pipeline_config(path: str | Path | None = None) -> PipelineConfig:
             raise ConfigError(f"config file {path} must contain a mapping at the top level")
         doc = loaded
 
-    known_scalars = {"seed": int, "out_dir": str, "workers": int}
+    known_scalars = {"seed": int, "out_dir": str}
     for key in doc:
         if key not in known_scalars and key not in _SECTIONS:
             raise ConfigError(f"unknown config section '{key}'")
@@ -274,7 +271,7 @@ def load_pipeline_config(path: str | Path | None = None) -> PipelineConfig:
 
 
 def _apply_common_flags(cfg: PipelineConfig, args) -> PipelineConfig:
-    """Resolve seed/out/workers with flag > environment > config precedence."""
+    """Resolve seed/out with flag > environment > config precedence."""
     if args.seed is not None:
         cfg.seed = args.seed
     out_env = os.environ.get("PDFUSE_OUTDIR")
@@ -282,16 +279,6 @@ def _apply_common_flags(cfg: PipelineConfig, args) -> PipelineConfig:
         cfg.out_dir = args.out
     elif out_env:
         cfg.out_dir = out_env
-    workers_env = os.environ.get("PDFUSE_WORKERS")
-    if getattr(args, "workers", None) is not None:
-        cfg.workers = args.workers
-    elif workers_env:
-        try:
-            cfg.workers = int(workers_env)
-        except ValueError as exc:
-            raise ConfigError(f"PDFUSE_WORKERS must be an integer: {exc}") from exc
-    if cfg.workers < 1:
-        raise ConfigError(f"workers must be at least 1, got {cfg.workers}")
     return cfg
 
 
@@ -338,7 +325,7 @@ def _absolutize(rec: SubjectRecord, manifest: DatasetManifest) -> SubjectRecord:
     )
 
 
-def _load_records(path: str) -> list[SubjectRecord]:
+def _load_records(path: str | Path) -> list[SubjectRecord]:
     manifest = load_manifest(path)
     return [_absolutize(rec, manifest) for rec in manifest.records]
 
@@ -686,9 +673,7 @@ def _cmd_evaluate(args, cfg: PipelineConfig) -> int:
     if args.controls:
         records, composition = augment_test_controls(records, _load_records(args.controls))
     started = time.perf_counter()
-    report = evaluate(
-        models, records, resolve=Path, skip_failures=args.skip_failures, workers=cfg.workers
-    )
+    report = evaluate(models, records, resolve=Path, skip_failures=args.skip_failures)
     elapsed = time.perf_counter() - started
     body = report.to_dict()
     if composition is not None:
@@ -702,9 +687,7 @@ def _cmd_evaluate(args, cfg: PipelineConfig) -> int:
 def _cmd_compare(args, cfg: PipelineConfig) -> int:
     out = _prepare_out(cfg)
     bench_dir = Path(args.benchmark)
-    manifest = load_manifest(bench_dir / "manifest.jsonl")
-    records = [_absolutize(rec, manifest) for rec in manifest.records]
-    flat = DatasetManifest(records=records, root=None)
+    flat = DatasetManifest(records=_load_records(bench_dir / "manifest.jsonl"), root=None)
     if args.k is not None:
         cfg.evaluation = replace(cfg.evaluation, k=args.k)
     if args.fold_indices is not None:
@@ -735,7 +718,6 @@ def _cmd_compare(args, cfg: PipelineConfig) -> int:
         fusion_cfg=fusion_cfg,
         controls=controls,
         fold_indices=fold_indices,
-        workers=cfg.workers,
     )
     timings["total"] = time.perf_counter() - started
     _write_json(out / "comparison.json", _metrics_payload(cfg, report.to_dict()))
@@ -809,12 +791,10 @@ def _cmd_report(args, cfg: PipelineConfig) -> int:
 # argument parsing
 
 
-def _add_common(sub, workers: bool = True):
+def _add_common(sub):
     sub.add_argument("--config", help="YAML or JSON config document")
     sub.add_argument("--seed", type=int, help="global seed (stages derive named sub-seeds)")
     sub.add_argument("--out", help="output directory (env PDFUSE_OUTDIR)")
-    if workers:
-        sub.add_argument("--workers", type=int, help="worker threads (env PDFUSE_WORKERS)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -829,13 +809,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="build the synthetic two-class benchmark")
-    _add_common(p, workers=False)
+    _add_common(p)
     p.add_argument("--n-per-class", type=int, help="subjects per class")
     p.add_argument("--gait-frames", type=int, help="frames per gait sequence")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("invert", help="recover the latent behind an image")
-    _add_common(p, workers=False)
+    _add_common(p)
     p.add_argument("--image", required=True, help="target image (.img)")
     p.add_argument("--generator-spec", required=True, help="generator spec (generator.json)")
     p.add_argument("--warm-start", help="latent file to start from (.pdl)")
@@ -845,7 +825,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_invert)
 
     p = sub.add_parser("fit-direction", help="fit a latent direction between two clusters")
-    _add_common(p, workers=False)
+    _add_common(p)
     p.add_argument("--latents-a", required=True, help="source-class latents (.npy, n x d)")
     p.add_argument("--latents-b", required=True, help="target-class latents (.npy, n x d)")
     p.add_argument("--source", required=True, help="source expression tag")
@@ -855,7 +835,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_fit_direction)
 
     p = sub.add_parser("synthesize", help="move a latent along a direction and decode it")
-    _add_common(p, workers=False)
+    _add_common(p)
     p.add_argument("--latent", required=True, help="base latent (.pdl)")
     p.add_argument("--direction", required=True, help="direction file (.json)")
     p.add_argument("--strength", type=float, required=True, help="edit strength")
@@ -863,19 +843,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_synthesize)
 
     p = sub.add_parser("train-face", help="train the expression backbone on benchmark samples")
-    _add_common(p, workers=False)
+    _add_common(p)
     p.add_argument("--benchmark", required=True, help="benchmark directory from `simulate`")
     p.add_argument("--epochs", type=int)
     p.set_defaults(func=_cmd_train_face)
 
     p = sub.add_parser("train-gait", help="train the gait classifier on a manifest")
-    _add_common(p, workers=False)
+    _add_common(p)
     p.add_argument("--manifest", required=True, help="dataset manifest (.jsonl)")
     p.add_argument("--epochs", type=int)
     p.set_defaults(func=_cmd_train_gait)
 
     p = sub.add_parser("train-fusion", help="train the fusion head over frozen extractors")
-    _add_common(p, workers=False)
+    _add_common(p)
     p.add_argument("--manifest", required=True, help="dataset manifest (.jsonl)")
     p.add_argument("--gait", required=True, help="gait checkpoint (.ckpt)")
     p.add_argument("--face", required=True, help="face checkpoint (.ckpt)")

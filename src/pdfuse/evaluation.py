@@ -7,7 +7,6 @@ face-only, fusion) that trains every head under the identical fold plan.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -168,7 +167,6 @@ def evaluate(
     records: list[SubjectRecord],
     resolve,
     skip_failures: bool = False,
-    workers: int = 1,
 ) -> MetricsReport:
     """Fused diagnosis metrics over a set of subjects.
 
@@ -176,32 +174,20 @@ def evaluate(
     the failure lies in the subject's own data (a missing modality, a
     malformed file or no usable gait window); such a subject is excluded
     from accuracy and listed in the report. Any other error, such as models
-    that do not fit together, always aborts. ``workers`` parallelizes
-    per-subject scoring without changing results (subjects are independent
-    and results are collected in input order).
+    that do not fit together, always aborts.
     """
     if not records:
         raise ShapeError("no subjects to evaluate")
     skippable = (MissingModalityError, FormatError, EmptyWindowsError) if skip_failures else ()
-
-    def score(rec: SubjectRecord):
-        try:
-            return predict_subject(rec, models, resolve), None
-        except skippable as exc:
-            return None, exc
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(score, records))
-    else:
-        outcomes = [score(rec) for rec in records]
     pairs = []
     failures = []
-    for rec, (pred, exc) in zip(records, outcomes):
-        if exc is not None:
+    for rec in records:
+        try:
+            pred = predict_subject(rec, models, resolve)
+        except skippable as exc:
             failures.append({"subject_id": rec.subject_id, "error": str(exc)})
-        else:
-            pairs.append((rec.subject_id, rec.label, pred.is_pd))
+            continue
+        pairs.append((rec.subject_id, rec.label, pred.is_pd))
     return summarize_predictions(pairs, failures)
 
 
@@ -256,21 +242,14 @@ class ComparisonReport:
         return "\n".join(lines)
 
 
-def _load_subject_data(manifest: DatasetManifest, records, cfg: GaitModelConfig, workers: int):
+def _load_subject_data(manifest: DatasetManifest, records, cfg: GaitModelConfig):
     """Windows and face pixel stacks per subject id, loaded once."""
-
-    def load(rec: SubjectRecord):
-        seq = load_keypoints(manifest.resolve(rec.gait_path))
-        windows = preprocess(seq, cfg)
+    data = {}
+    for rec in records:
+        windows = preprocess(load_keypoints(manifest.resolve(rec.gait_path)), cfg)
         images = np.stack([load_image(manifest.resolve(f.path)).pixels for f in rec.faces])
-        return windows, images
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            loaded = list(pool.map(load, records))
-    else:
-        loaded = [load(rec) for rec in records]
-    return {rec.subject_id: data for rec, data in zip(records, loaded)}
+        data[rec.subject_id] = (windows, images)
+    return data
 
 
 def compare_unimodal(
@@ -282,7 +261,6 @@ def compare_unimodal(
     fusion_cfg: FusionTrainConfig = FusionTrainConfig(),
     controls: list[SubjectRecord] | None = None,
     fold_indices: list[int] | None = None,
-    workers: int = 1,
 ) -> ComparisonReport:
     """Train and score gait-only, face-only, and fusion rows per fold.
 
@@ -300,7 +278,7 @@ def compare_unimodal(
             raise ShapeError(f"fold plan references unknown subject {sid!r}")
 
     needed = [records[sid] for sid in plan.all_ids()] + controls
-    data = _load_subject_data(manifest, needed, gait_cfg, workers)
+    data = _load_subject_data(manifest, needed, gait_cfg)
     face_feature = {
         rec.subject_id: extract_face_features(data[rec.subject_id][1], face_model)
         for rec in needed

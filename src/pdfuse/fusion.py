@@ -10,13 +10,13 @@ Class index 0 is PD throughout, and argmax ties break toward PD.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import gait_features, ndnn
-from .errors import MissingModalityError, ShapeError
+from .errors import EmptyWindowsError, FormatError, MissingModalityError, ShapeError
 from .face_features import FaceModel, extract_face_features
 from .gait_features import GaitClassifier, GaitModelConfig, load_keypoints, preprocess
 from .io import load_image
@@ -97,16 +97,21 @@ class HybridFusionParams:
 
     @classmethod
     def from_arrays(cls, arrays: dict[str, np.ndarray]) -> "HybridFusionParams":
-        return cls(
-            gait_score_w=arrays["gait_score_w"],
-            gait_score_b=float(arrays["gait_score_b"][0]),
-            gait_class_w=arrays["gait_class_w"],
-            gait_class_b=arrays["gait_class_b"],
-            face_score_w=arrays["face_score_w"],
-            face_score_b=float(arrays["face_score_b"][0]),
-            face_class_w=arrays["face_class_w"],
-            face_class_b=arrays["face_class_b"],
-        )
+        """Inverse of ``arrays``; raises FormatError on arrays that do not fit."""
+        names = {f.name for f in fields(cls)}
+        missing = sorted(names - arrays.keys())
+        unexpected = sorted(arrays.keys() - names)
+        if missing or unexpected:
+            raise FormatError(f"fusion arrays: missing {missing}, unexpected {unexpected}")
+        values = dict(arrays)
+        for name in ("gait_score_b", "face_score_b"):
+            if np.shape(arrays[name]) != (1,):
+                raise FormatError(f"fusion array {name}: shape {np.shape(arrays[name])}, expected (1,)")
+            values[name] = float(arrays[name][0])
+        try:
+            return cls(**values)
+        except ShapeError as exc:
+            raise FormatError(f"fusion arrays: {exc}") from exc
 
     def checksum(self) -> str:
         return ndnn.params_checksum(self.arrays())
@@ -260,7 +265,7 @@ def subject_features(
     seq = load_keypoints(gait_path)
     try:
         windows = preprocess(seq, models.gait_cfg)
-    except Exception as exc:
+    except EmptyWindowsError as exc:
         raise MissingModalityError(
             f"subject {subject.subject_id!r}: no usable gait windows ({exc})"
         ) from exc

@@ -19,6 +19,7 @@ artifact with the producing config hash.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -195,7 +196,11 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str | Path) -> tuple[str, dict[str, np.ndarray], dict]:
-    """Read a checkpoint; returns (kind, arrays, header)."""
+    """Read a checkpoint; returns (kind, arrays, header).
+
+    Raises ``FormatError`` on a cut anywhere in the file, on a corrupt header
+    or array record, and on bytes after the last array.
+    """
     path = Path(path)
     raw = path.read_bytes()
     if len(raw) < 12 or raw[:4] != _CHECKPOINT_MAGIC:
@@ -204,29 +209,40 @@ def load_checkpoint(path: str | Path) -> tuple[str, dict[str, np.ndarray], dict]
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"checkpoint {path}: format_version {version} unsupported")
     pos = 12
+
+    def take(n: int) -> bytes:
+        nonlocal pos
+        if pos + n > len(raw):
+            raise FormatError(
+                f"checkpoint {path}: truncated or corrupt payload: a field needs bytes "
+                f"{pos}-{pos + n}, the file has {len(raw)}"
+            )
+        pos += n
+        return raw[pos - n : pos]
+
+    header_bytes = take(header_len)
     try:
-        header = json.loads(raw[pos : pos + header_len].decode())
-    except json.JSONDecodeError as exc:
+        header = json.loads(header_bytes.decode())
+    except ValueError as exc:
         raise FormatError(f"checkpoint {path}: header is not valid JSON: {exc}") from exc
-    pos += header_len
-    (count,) = struct.unpack("<I", raw[pos : pos + 4])
-    pos += 4
+    if not isinstance(header, dict):
+        raise FormatError(f"checkpoint {path}: header is not a JSON object")
+    (count,) = struct.unpack("<I", take(4))
     arrays: dict[str, np.ndarray] = {}
-    try:
-        for _ in range(count):
-            (name_len,) = struct.unpack("<I", raw[pos : pos + 4])
-            pos += 4
-            name = raw[pos : pos + name_len].decode()
-            pos += name_len
-            (ndim,) = struct.unpack("<I", raw[pos : pos + 4])
-            pos += 4
-            shape = struct.unpack(f"<{ndim}q", raw[pos : pos + 8 * ndim])
-            pos += 8 * ndim
-            size = int(np.prod(shape)) if ndim else 1
-            arrays[name] = np.frombuffer(raw[pos : pos + 8 * size], dtype="<f8").reshape(shape).copy()
-            pos += 8 * size
-    except (struct.error, ValueError) as exc:
-        raise FormatError(f"checkpoint {path}: truncated or corrupt payload: {exc}") from exc
+    for _ in range(count):
+        (name_len,) = struct.unpack("<I", take(4))
+        try:
+            name = take(name_len).decode()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"checkpoint {path}: array name is not UTF-8: {exc}") from exc
+        (ndim,) = struct.unpack("<I", take(4))
+        shape = struct.unpack(f"<{ndim}q", take(8 * ndim))
+        if any(dim < 0 for dim in shape):
+            raise FormatError(f"checkpoint {path}: array {name!r} has negative shape {shape}")
+        data = take(8 * math.prod(shape))
+        arrays[name] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
+    if pos != len(raw):
+        raise FormatError(f"checkpoint {path}: {len(raw) - pos} trailing bytes after the last array")
     return header.get("kind", ""), arrays, header
 
 

@@ -380,20 +380,18 @@ def params_checksum(state: dict[str, np.ndarray]) -> str:
 def finite_difference_gradient(loss_fn, array: np.ndarray, h: float = 1e-6) -> np.ndarray:
     """Central finite differences of ``loss_fn()`` with respect to ``array``.
 
-    ``array`` is perturbed in place entry by entry and restored, so
-    ``loss_fn`` must read it afresh on every call.
+    ``array`` (a view of any memory layout) is perturbed in place entry by
+    entry and restored, so ``loss_fn`` must read it afresh on every call.
     """
-    grad = np.zeros_like(array)
-    flat = array.ravel()
-    gflat = grad.ravel()
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
+    grad = np.zeros(array.shape, dtype=array.dtype)
+    for idx in np.ndindex(array.shape):
+        orig = array[idx]
+        array[idx] = orig + h
         lo_plus = loss_fn()
-        flat[i] = orig - h
+        array[idx] = orig - h
         lo_minus = loss_fn()
-        flat[i] = orig
-        gflat[i] = (lo_plus - lo_minus) / (2.0 * h)
+        array[idx] = orig
+        grad[idx] = (lo_plus - lo_minus) / (2.0 * h)
     return grad
 
 

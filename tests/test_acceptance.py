@@ -7,7 +7,6 @@ and command-line determinism. Every test prints exactly one PASS/FAIL line
 through the capture-proof stream so any run log shows all nine verdicts.
 """
 
-import json
 import time
 
 import numpy as np
@@ -409,31 +408,22 @@ def test_criterion_9_cli_determinism(tmp_path, acceptance_log):
             "--fusion", str(fusion / "fusion.ckpt"),
         ]
         ok(evaluate + ["--out", str(ev)])
-        ok(evaluate + ["--out", str(root / "ev_threaded"), "--workers", "3"])
         return {
             "simulate": sim / "simulate_metrics.json",
             "train-face": face / "face_metrics.json",
             "train-gait": gait / "gait_metrics.json",
             "train-fusion": fusion / "fusion_metrics.json",
             "evaluate": ev / "metrics.json",
-            "evaluate-threaded": root / "ev_threaded" / "metrics.json",
         }
 
     first = run_chain(tmp_path / "r1")
     second = run_chain(tmp_path / "r2")
     identical = [name for name in first if first[name].read_bytes() == second[name].read_bytes()]
 
-    serial = json.loads(first["evaluate"].read_text())
-    threaded = json.loads(first["evaluate-threaded"].read_text())
-    serial.pop("config_hash")
-    threaded.pop("config_hash")  # the worker count is part of the hashed config
-    workers_ok = serial == threaded
-
-    passed = len(identical) == len(first) and workers_ok
+    passed = len(identical) == len(first)
     acceptance_log(
         9,
         "cli-determinism",
         passed,
-        f"{len(identical)}/{len(first)} metric files byte-identical across reruns; "
-        f"workers=3 metrics equal to serial",
+        f"{len(identical)}/{len(first)} metric files byte-identical across reruns",
     )

@@ -92,7 +92,6 @@ class TestConfigLoading:
     def test_missing_document_gives_defaults(self):
         cfg = load_pipeline_config(None)
         assert cfg.seed == 0
-        assert cfg.workers == 1
         assert cfg.benchmark.n_per_class == 200
 
     def test_yaml_lists_become_tuples(self, pipeline):
@@ -103,9 +102,10 @@ class TestConfigLoading:
 
     def test_unknown_section_rejected(self, tmp_path):
         doc = tmp_path / "bad.yaml"
-        doc.write_text("optimizer:\n  momentum: 0.9\n")
-        with pytest.raises(ConfigError, match="unknown config section 'optimizer'"):
-            load_pipeline_config(doc)
+        for text, name in (("optimizer:\n  momentum: 0.9\n", "optimizer"), ("workers: 2\n", "workers")):
+            doc.write_text(text)
+            with pytest.raises(ConfigError, match=f"unknown config section '{name}'"):
+                load_pipeline_config(doc)
 
     def test_unknown_key_names_section_and_key(self, tmp_path):
         doc = tmp_path / "bad.yaml"
@@ -311,7 +311,7 @@ class TestTrainingCommands:
 
 
 class TestEvaluateCommand:
-    def evaluate_argv(self, pipeline, out, extra=()):
+    def evaluate_argv(self, pipeline, out):
         return [
             "evaluate",
             "--config",
@@ -326,7 +326,6 @@ class TestEvaluateCommand:
             str(pipeline["fusion_ckpt"]),
             "--out",
             str(out),
-            *extra,
         ]
 
     def test_writes_metrics_without_timings(self, pipeline, tmp_path, capsys):
@@ -342,15 +341,6 @@ class TestEvaluateCommand:
         assert (tmp_path / "r1" / "metrics.json").read_bytes() == (
             tmp_path / "r2" / "metrics.json"
         ).read_bytes()
-
-    def test_workers_flag_does_not_change_metrics(self, pipeline, tmp_path):
-        run_ok(self.evaluate_argv(pipeline, tmp_path / "serial"))
-        run_ok(self.evaluate_argv(pipeline, tmp_path / "threaded", extra=("--workers", "3")))
-        serial = json.loads((tmp_path / "serial" / "metrics.json").read_text())
-        threaded = json.loads((tmp_path / "threaded" / "metrics.json").read_text())
-        serial.pop("config_hash")
-        threaded.pop("config_hash")  # workers is part of the hashed config
-        assert serial == threaded
 
     def test_report_pretty_prints_metrics(self, pipeline, tmp_path, capsys):
         run_ok(self.evaluate_argv(pipeline, tmp_path))
@@ -427,20 +417,6 @@ class TestEnvironmentOverrides:
         run_ok(self.synthesize_argv(pipeline, tmp_path, with_out=tmp_path / "o") + ["--seed", "7"])
         run = json.loads((tmp_path / "o" / "run.json").read_text())
         assert run["seed"] == 7
-
-    def test_invalid_workers_env_is_a_config_error(self, pipeline, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("PDFUSE_WORKERS", "many")
-        argv = TestEvaluateCommand().evaluate_argv(pipeline, tmp_path)
-        assert main(argv) == 2
-        record = json.loads(capsys.readouterr().err)
-        assert record["error"] == "ConfigError"
-        assert "PDFUSE_WORKERS must be an integer" in record["message"]
-
-    def test_zero_workers_rejected(self, pipeline, tmp_path, capsys):
-        argv = TestEvaluateCommand().evaluate_argv(pipeline, tmp_path, extra=("--workers", "0"))
-        assert main(argv) == 2
-        record = json.loads(capsys.readouterr().err)
-        assert "workers must be at least 1" in record["message"]
 
 
 class TestErrorReporting:

@@ -19,8 +19,15 @@ from pdfuse.evaluation import (
     train_linear_head,
 )
 from pdfuse.face_features import FaceBackboneConfig, FaceModel
-from pdfuse.fusion import DiagnosisModels, HybridFusionParams
-from pdfuse.gait_features import GaitClassifier, GaitModel, GaitModelConfig, TrainOptions
+from pdfuse.fusion import DiagnosisModels, HybridFusionParams, subject_features
+from pdfuse.gait_features import (
+    GaitClassifier,
+    GaitModel,
+    GaitModelConfig,
+    TrainOptions,
+    load_keypoints,
+    save_keypoints,
+)
 from pdfuse.fusion import FusionTrainConfig
 from pdfuse.manifest import (
     LABEL_CONTROL,
@@ -199,12 +206,6 @@ class TestEvaluate:
         assert sum(report.confusion.values()) == report.n_subjects
         assert 0.0 <= report.accuracy <= 1.0
 
-    def test_workers_do_not_change_results(self, tiny_bench_dir, bench_models):
-        manifest = load_manifest(tiny_bench_dir / "manifest.jsonl")
-        serial = evaluate(bench_models, manifest.records, manifest.resolve, workers=1)
-        threaded = evaluate(bench_models, manifest.records, manifest.resolve, workers=4)
-        assert serial.to_dict() == threaded.to_dict()
-
     def test_missing_gait_aborts_by_default(self, tiny_bench_dir, bench_models):
         manifest = load_manifest(tiny_bench_dir / "manifest.jsonl")
         broken = dataclasses.replace(manifest.records[0], gait_path="gait/nope.kpts")
@@ -226,9 +227,19 @@ class TestEvaluate:
         manifest = load_manifest(tiny_bench_dir / "manifest.jsonl")
         wide_fusion = HybridFusionParams.init(5, 3, seed=13)  # the gait extractor gives 4 dims
         models = dataclasses.replace(bench_models, fusion=wide_fusion)
-        for workers in (1, 2):
-            with pytest.raises(ShapeError, match="gait feature shape"):
-                evaluate(models, manifest.records, manifest.resolve, skip_failures=True, workers=workers)
+        with pytest.raises(ShapeError, match="gait feature shape"):
+            evaluate(models, manifest.records, manifest.resolve, skip_failures=True)
+
+    def test_only_unusable_gait_is_a_missing_modality(self, tiny_bench_dir, bench_models, tmp_path):
+        manifest = load_manifest(tiny_bench_dir / "manifest.jsonl")
+        rec = manifest.records[0]
+        seq = load_keypoints(manifest.resolve(rec.gait_path))
+        short = tmp_path / "short.kpts"
+        save_keypoints(dataclasses.replace(seq, frames=seq.frames[: GAIT_CFG.window_length - 1]), short)
+        with pytest.raises(MissingModalityError, match="no usable gait windows"):
+            subject_features(dataclasses.replace(rec, gait_path=str(short)), bench_models, manifest.resolve)
+        with pytest.raises(AttributeError):
+            subject_features(rec, dataclasses.replace(bench_models, gait_cfg=None), manifest.resolve)
 
     def test_no_subjects_rejected(self, bench_models):
         with pytest.raises(ShapeError, match="no subjects"):

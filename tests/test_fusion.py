@@ -11,7 +11,7 @@ import numpy.testing as npt
 import pytest
 
 from pdfuse import ndnn
-from pdfuse.errors import ShapeError
+from pdfuse.errors import FormatError, ShapeError
 from pdfuse.face_features import FaceBackboneConfig, FaceModel
 from pdfuse.fusion import (
     FusionTrainConfig,
@@ -100,6 +100,18 @@ class TestHybridFuse:
         assert restored.checksum() == params.checksum()
         x_g, x_f = np.ones(3), np.ones(4)
         npt.assert_array_equal(hybrid_fuse(x_g, x_f, restored), hybrid_fuse(x_g, x_f, params))
+
+    def test_from_arrays_rejects_arrays_that_do_not_fit(self):
+        arrays = HybridFusionParams.init(3, 4, seed=9).arrays()
+        missing = {k: v for k, v in arrays.items() if k != "face_class_b"}
+        with pytest.raises(FormatError, match="missing \\['face_class_b'\\]"):
+            HybridFusionParams.from_arrays(missing)
+        with pytest.raises(FormatError, match="unexpected \\['extra'\\]"):
+            HybridFusionParams.from_arrays({**arrays, "extra": np.zeros(1)})
+        with pytest.raises(FormatError, match="gait_score_b"):
+            HybridFusionParams.from_arrays({**arrays, "gait_score_b": np.zeros(2)})
+        with pytest.raises(FormatError, match="class head"):
+            HybridFusionParams.from_arrays({**arrays, "gait_class_w": np.zeros((2, 3))})
 
     def test_layers_round_trip_keeps_score_biases(self):
         params = HybridFusionParams.init(3, 4, seed=9)

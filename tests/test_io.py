@@ -128,6 +128,16 @@ def test_checkpoint_truncated(tmp_path):
     with pytest.raises(FormatError, match="truncated or corrupt"):
         io.load_checkpoint(path)
 
+    io.save_checkpoint(path, "fusion", {"b": np.zeros(2), "w": np.ones((2, 3))}, config={"x": 1})
+    whole = path.read_bytes()
+    for cut in range(len(whole)):
+        path.write_bytes(whole[:cut])
+        with pytest.raises(FormatError, match="truncated"):
+            io.load_checkpoint(path)
+    path.write_bytes(whole + b"\0")
+    with pytest.raises(FormatError, match="trailing"):
+        io.load_checkpoint(path)
+
 
 def test_config_hash_stable_and_order_free():
     assert io.config_hash({"a": 1, "b": [2, 3]}) == io.config_hash({"b": [2, 3], "a": 1})

@@ -123,6 +123,15 @@ def test_cross_entropy_value_and_gradient():
     assert ndnn.relative_error(grad, fd) <= GRAD_TOL
 
 
+def test_finite_differences_on_a_transposed_view():
+    base = np.arange(6.0).reshape(2, 3)
+    view = base.T
+    weights = np.random.default_rng(7).normal(size=view.shape)
+    fd = ndnn.finite_difference_gradient(lambda: float(np.sum(view**2 * weights)), view)
+    assert ndnn.relative_error(2.0 * view * weights, fd) <= GRAD_TOL
+    npt.assert_array_equal(base, np.arange(6.0).reshape(2, 3))
+
+
 def test_adam_minimizes_quadratic():
     layer = ndnn.Layer()
     layer.add_param("w", np.array([5.0, -3.0]))
