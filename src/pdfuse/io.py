@@ -42,6 +42,17 @@ def _sidecar(path: Path) -> Path:
     return path.with_name(path.name + ".json")
 
 
+def _json_object(raw: bytes, what: str) -> dict:
+    """``raw`` parsed as a UTF-8 JSON object; FormatError naming ``what`` otherwise."""
+    try:
+        obj = json.loads(raw.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
+        raise FormatError(f"{what} is not valid UTF-8 JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise FormatError(f"{what} is not a JSON object")
+    return obj
+
+
 def save_image(path: str | Path, image: ImageTensor, meta: dict | None = None) -> None:
     path = Path(path)
     H, W, C = image.shape
@@ -65,10 +76,7 @@ def load_image(path: str | Path) -> ImageTensor:
     sidecar = _sidecar(path)
     if not sidecar.exists():
         raise FormatError(f"image {path} has no sidecar header {sidecar.name}")
-    try:
-        header = json.loads(sidecar.read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"image sidecar {sidecar} is not valid JSON: {exc}") from exc
+    header = _json_object(sidecar.read_bytes(), f"image sidecar {sidecar}")
     if header.get("format_version") != IMAGE_VERSION:
         raise FormatError(
             f"image {path}: format_version {header.get('format_version')!r} unsupported"
@@ -77,6 +85,8 @@ def load_image(path: str | Path) -> ImageTensor:
         shape = (header["height"], header["width"], header["channels"])
     except KeyError as exc:
         raise FormatError(f"image sidecar {sidecar} missing field {exc}") from exc
+    if not all(type(dim) is int and dim >= 1 for dim in shape):
+        raise FormatError(f"image sidecar {sidecar}: dimensions {shape} must be integers >= 1")
     raw = path.read_bytes()
     expected = int(np.prod(shape)) * 8
     if len(raw) != expected:
@@ -114,6 +124,7 @@ def load_latent(path: str | Path) -> LatentVector:
     payload = raw[offset:]
     if len(payload) != dim * 8:
         raise FormatError(f"latent {path}: payload is {len(payload)} bytes, header implies {dim * 8}")
+    _json_object(raw[16:offset], f"latent {path} metadata")
     values = np.frombuffer(payload, dtype="<f8")
     try:
         return LatentVector(values)
@@ -139,15 +150,14 @@ def save_direction(path: str | Path, direction: DirectionVector, meta: dict | No
 
 def load_direction(path: str | Path) -> DirectionVector:
     path = Path(path)
-    try:
-        obj = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"direction {path} is not valid JSON: {exc}") from exc
+    obj = _json_object(path.read_bytes(), f"direction {path}")
     if obj.get("kind") != "direction" or obj.get("format_version") != DIRECTION_VERSION:
         raise FormatError(f"direction {path}: missing or unsupported header fields")
     diag = None
     if "diagnostics" in obj:
         d = obj["diagnostics"]
+        if not isinstance(d, dict):
+            raise FormatError(f"direction {path}: diagnostics is not a JSON object")
         try:
             diag = FitDiagnostics(
                 mode=d["mode"],
@@ -161,14 +171,12 @@ def load_direction(path: str | Path) -> DirectionVector:
         except KeyError as exc:
             raise FormatError(f"direction {path}: diagnostics missing field {exc}") from exc
     try:
-        return DirectionVector(
-            values=np.asarray(obj["values"], dtype=np.float64),
-            source=obj["source"],
-            target=obj["target"],
-            diagnostics=diag,
-        )
+        values = np.asarray(obj["values"], dtype=np.float64)
+        return DirectionVector(values=values, source=obj["source"], target=obj["target"], diagnostics=diag)
     except KeyError as exc:
         raise FormatError(f"direction {path}: missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"direction {path}: {exc}") from exc
 
 
 def save_checkpoint(
@@ -220,13 +228,7 @@ def load_checkpoint(path: str | Path) -> tuple[str, dict[str, np.ndarray], dict]
         pos += n
         return raw[pos - n : pos]
 
-    header_bytes = take(header_len)
-    try:
-        header = json.loads(header_bytes.decode())
-    except ValueError as exc:
-        raise FormatError(f"checkpoint {path}: header is not valid JSON: {exc}") from exc
-    if not isinstance(header, dict):
-        raise FormatError(f"checkpoint {path}: header is not a JSON object")
+    header = _json_object(take(header_len), f"checkpoint {path} header")
     (count,) = struct.unpack("<I", take(4))
     arrays: dict[str, np.ndarray] = {}
     for _ in range(count):

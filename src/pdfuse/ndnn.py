@@ -153,6 +153,9 @@ class SpatialGraphConv(Layer):
 
     ``out[v] = sum_p sum_w A_p[v, w] x[w] @ W_p`` with one channel-mixing
     matrix per partition, matching the partitioned-adjacency formulation.
+    Both steps are plain batched GEMMs: the joint aggregation
+    ``(B, 1, C*T, V) @ (P, V, V)`` lands directly in the ``(B, P*C, T*V)``
+    layout that the channel mix ``(O, P*C) @ (B, P*C, T*V)`` reads.
     """
 
     def __init__(self, partitions: np.ndarray, in_channels, out_channels, rng):
@@ -165,69 +168,114 @@ class SpatialGraphConv(Layer):
         self.add_param("weight", rng.normal(0.0, scale, size=(P, in_channels, out_channels)))
         self.add_param("bias", np.zeros(out_channels))
 
+    def _mix(self) -> np.ndarray:
+        """The (O, P*C) channel-mixing matrix: mix[o, p*C + c] = weight[p, c, o]."""
+        P, C, O = self.params["weight"].shape
+        return self.params["weight"].reshape(P * C, O).T
+
     def forward(self, x):
-        agg = np.einsum("pvw,bctw->pbctv", self.partitions, x, optimize=True)
-        y = np.einsum("pbctv,pco->botv", agg, self.params["weight"], optimize=True)
-        y += self.params["bias"][None, :, None, None]
-        return y, agg
+        B, C, T, V = x.shape
+        P = self.partitions.shape[0]
+        # A C-ordered copy of the transposed partitions: matmul runs about
+        # twice as fast on it as on the strided view.
+        partitions_t = np.ascontiguousarray(self.partitions.transpose(0, 2, 1))
+        agg = np.matmul(x.reshape(B, 1, C * T, V), partitions_t).reshape(B, P * C, T * V)
+        y = np.matmul(self._mix(), agg)
+        y += self.params["bias"][None, :, None]
+        return y.reshape(B, -1, T, V), agg
 
     def backward(self, grad_out, cache):
         agg = cache
-        self.grads["weight"] += np.einsum("pbctv,botv->pco", agg, grad_out, optimize=True)
-        self.grads["bias"] += grad_out.sum(axis=(0, 2, 3))
-        gz = np.einsum("botv,pco->pbctv", grad_out, self.params["weight"], optimize=True)
-        return np.einsum("pvw,pbctv->bctw", self.partitions, gz, optimize=True)
+        B, O, T, V = grad_out.shape
+        P, C, _ = self.params["weight"].shape
+        g = grad_out.reshape(B, O, T * V)
+        grad_mix = np.matmul(g, agg.transpose(0, 2, 1)).sum(axis=0)
+        self.grads["weight"] += grad_mix.T.reshape(P, C, O)
+        self.grads["bias"] += g.sum(axis=(0, 2))
+        grad_agg = np.matmul(self._mix().T, g).reshape(B, P, C * T, V)
+        grad_x = np.matmul(grad_agg[:, 0], self.partitions[0])
+        for p in range(1, P):
+            grad_x += np.matmul(grad_agg[:, p], self.partitions[p])
+        return grad_x.reshape(B, C, T, V)
+
+
+def _time_shifts(kernel_size: int, dilation: int, T: int):
+    """``(tap, s, lo, hi)`` for each tap of a same-padded window along T frames.
+
+    Output frames ``lo:hi`` of tap ``tap`` read input frames ``lo+s:hi+s``;
+    a tap whose reach ``|s|`` is T or more reads only padding and is left out.
+    """
+    shifts = []
+    for tap in range(kernel_size):
+        s = (tap - kernel_size // 2) * dilation
+        if abs(s) < T:
+            shifts.append((tap, s, max(0, -s), T - max(0, s)))
+    return shifts
 
 
 class TemporalConv(Layer):
-    """1-D convolution along the time axis of (B, C, T, V), same padding."""
+    """1-D convolution along the time axis of (B, C, T, V), same padding.
+
+    The K taps are stacked on the output side into one (K*O, C) matrix, so
+    the forward pass is one batched GEMM over ``(B, C, T*V)`` followed by
+    time-shifted slice-adds of the K tap outputs; the backward pass scatters
+    the output gradient into K shifted copies and runs one GEMM for the
+    input gradient and one for the weight gradient.
+    """
 
     def __init__(self, in_channels, out_channels, kernel_size, dilation, rng):
         super().__init__()
         if kernel_size % 2 != 1:
             raise ShapeError(f"kernel_size must be odd, got {kernel_size}")
+        if dilation < 1:
+            raise ShapeError(f"dilation must be >= 1, got {dilation}")
         self.kernel_size = kernel_size
         self.dilation = dilation
-        self.pad = (kernel_size // 2) * dilation
         fan_in = in_channels * kernel_size
         scale = np.sqrt(2.0 / fan_in)
         self.add_param("weight", rng.normal(0.0, scale, size=(kernel_size, in_channels, out_channels)))
         self.add_param("bias", np.zeros(out_channels))
 
+    def _stacked(self) -> np.ndarray:
+        """The (K*O, C) tap matrix: stacked[k*O + o, c] = weight[k, c, o]."""
+        K, C, O = self.params["weight"].shape
+        return self.params["weight"].transpose(0, 2, 1).reshape(K * O, C)
+
     def forward(self, x):
-        T = x.shape[2]
-        p = self.pad
-        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (0, 0))) if p else x
-        weight = self.params["weight"]
-        y = None
-        for i in range(self.kernel_size):
-            off = i * self.dilation
-            term = np.einsum("bctv,co->botv", xp[:, :, off : off + T, :], weight[i], optimize=True)
-            y = term if y is None else y + term
-        y += self.params["bias"][None, :, None, None]
-        return y, (xp, T)
+        B, C, T, V = x.shape
+        K, _, O = self.params["weight"].shape
+        taps = np.matmul(self._stacked(), x.reshape(B, C, T * V)).reshape(B, K, O, T, V)
+        y = taps[:, K // 2] + self.params["bias"][None, :, None, None]
+        for tap, s, lo, hi in _time_shifts(K, self.dilation, T):
+            if s:
+                y[:, :, lo:hi] += taps[:, tap, :, lo + s : hi + s]
+        return y, x
 
     def backward(self, grad_out, cache):
-        xp, T = cache
-        p = self.pad
-        weight = self.params["weight"]
-        gxp = np.zeros_like(xp)
-        for i in range(self.kernel_size):
-            off = i * self.dilation
-            sl = xp[:, :, off : off + T, :]
-            self.grads["weight"][i] += np.einsum("bctv,botv->co", sl, grad_out, optimize=True)
-            gxp[:, :, off : off + T, :] += np.einsum(
-                "botv,co->bctv", grad_out, weight[i], optimize=True
-            )
+        x = cache
+        B, C, T, V = x.shape
+        K, _, O = self.params["weight"].shape
+        if K == 1:
+            grad_taps = grad_out.reshape(B, O, T * V)
+        else:
+            grad_taps = np.zeros((B, K, O, T, V))
+            for tap, s, lo, hi in _time_shifts(K, self.dilation, T):
+                grad_taps[:, tap, :, lo + s : hi + s] = grad_out[:, :, lo:hi]
+            grad_taps = grad_taps.reshape(B, K * O, T * V)
+        x_flat = x.reshape(B, C, T * V)
+        grad_stacked = np.matmul(grad_taps, x_flat.transpose(0, 2, 1)).sum(axis=0)
+        self.grads["weight"] += grad_stacked.reshape(K, O, C).transpose(0, 2, 1)
         self.grads["bias"] += grad_out.sum(axis=(0, 2, 3))
-        return gxp[:, :, p : p + T, :] if p else gxp
+        return np.matmul(self._stacked().T, grad_taps).reshape(B, C, T, V)
 
 
 class TemporalMaxPool(Layer):
     """Sliding max along time on (B, C, T, V), stride 1, same padding.
 
-    Ties route the gradient to the earliest maximal position, which keeps the
-    backward pass deterministic.
+    The forward pass is a running ``maximum`` over the window's shifted
+    views. Ties route the gradient to the earliest maximal position, which
+    keeps the backward pass deterministic: view ``i`` receives it where it
+    equals the maximum and no earlier view did.
     """
 
     def __init__(self, window: int):
@@ -241,21 +289,24 @@ class TemporalMaxPool(Layer):
         T = x.shape[2]
         p = self.pad
         xp = np.pad(x, ((0, 0), (0, 0), (p, p), (0, 0)), constant_values=-np.inf)
-        stacked = np.stack([xp[:, :, i : i + T, :] for i in range(self.window)])
-        argmax = np.argmax(stacked, axis=0)
-        y = np.take_along_axis(stacked, argmax[None], axis=0)[0]
-        return y, (argmax, x.shape)
+        y = xp[:, :, 0:T].copy()
+        for i in range(1, self.window):
+            np.maximum(y, xp[:, :, i : i + T], out=y)
+        return y, (xp, y)
 
     def backward(self, grad_out, cache):
-        argmax, shape = cache
+        xp, y = cache
+        T = y.shape[2]
         p = self.pad
-        T = shape[2]
-        gxp = np.zeros((shape[0], shape[1], T + 2 * p, shape[3]))
+        gxp = np.zeros(xp.shape)
+        taken = np.zeros(y.shape, dtype=bool)
+        routed = np.empty(y.shape)
         for i in range(self.window):
-            mask = argmax == i
-            target = gxp[:, :, i : i + T, :]
-            target[mask] += grad_out[mask]
-        return gxp[:, :, p : p + T, :]
+            first = (xp[:, :, i : i + T] == y) & ~taken
+            taken |= first
+            np.multiply(grad_out, first, out=routed)
+            gxp[:, :, i : i + T] += routed
+        return gxp[:, :, p : p + T]
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Round trips and corruption handling for every on-disk format."""
 
+import struct
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -39,6 +41,28 @@ def test_image_truncated_payload(tmp_path):
     path.write_bytes(path.read_bytes()[:-16])
     with pytest.raises(FormatError):
         io.load_image(path)
+
+
+def _image_with_sidecar(tmp_path, sidecar: bytes):
+    path = tmp_path / "face.img"
+    io.save_image(path, ImageTensor(np.full((2, 3, 1), 0.5)))
+    path.with_name(path.name + ".json").write_bytes(sidecar)
+    return path
+
+
+@pytest.mark.parametrize(
+    "sidecar",
+    [
+        b"[1, 2, 3]",
+        b'{"format_version": 1, "height": 2, "width": 3, "channels": 1, "note": "\xff\xfe"}',
+        b'{"format_version": 1, "height": "2", "width": "3", "channels": "1"}',
+        b'{"format_version": 1, "height": -2, "width": -3, "channels": 1}',
+    ],
+    ids=["json-not-object", "not-utf8", "string-dimensions", "negative-dimensions"],
+)
+def test_image_malformed_sidecar_raises_format_error(tmp_path, sidecar):
+    with pytest.raises(FormatError):
+        io.load_image(_image_with_sidecar(tmp_path, sidecar))
 
 
 def test_latent_round_trip(tmp_path):
@@ -90,6 +114,39 @@ def test_direction_rejects_non_json(tmp_path):
     path.write_text("not json {")
     with pytest.raises(FormatError, match="JSON"):
         io.load_direction(path)
+
+
+def _direction_file(tmp_path, raw: bytes):
+    path = tmp_path / "d.json"
+    path.write_bytes(raw)
+    return path
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        b'["kind", "direction"]',
+        b'{"kind": "direction", "format_version": 1, "source": "\xff", "target": "b", "values": [1.0]}',
+        b'{"kind": "direction", "format_version": 1, "source": "a", "target": "b", "values": ["x", "y"]}',
+        b'{"kind": "direction", "format_version": 1, "source": "a", "target": "b", "values": [1.0], '
+        b'"diagnostics": [1]}',
+    ],
+    ids=["json-not-object", "not-utf8", "non-numeric-values", "diagnostics-not-object"],
+)
+def test_direction_malformed_file_raises_format_error(tmp_path, raw):
+    with pytest.raises(FormatError):
+        io.load_direction(_direction_file(tmp_path, raw))
+
+
+@pytest.mark.parametrize(
+    "meta", [b"\xff\xfe\x00", b"[1, 2]", b"{not json"], ids=["not-utf8", "json-not-object", "not-json"]
+)
+def test_latent_malformed_metadata_raises_format_error(tmp_path, meta):
+    path = tmp_path / "z.pdl"
+    header = b"PDFL" + struct.pack("<III", io.LATENT_VERSION, 2, len(meta))
+    path.write_bytes(header + meta + np.zeros(2, dtype="<f8").tobytes())
+    with pytest.raises(FormatError, match="metadata"):
+        io.load_latent(path)
 
 
 def test_checkpoint_round_trip(tmp_path):

@@ -10,7 +10,8 @@ import numpy.testing as npt
 import pytest
 
 from pdfuse import ndnn
-from pdfuse.errors import TrainingDivergedError
+from pdfuse.errors import ShapeError, TrainingDivergedError
+from pdfuse.gait_features import build_adjacency
 
 RNG = np.random.default_rng(20240229)
 GRAD_TOL = 1e-6
@@ -95,6 +96,156 @@ def test_temporal_max_pool_gradients():
     # Spread values out so the max is unique in every pooling window.
     x = RNG.permutation(np.arange(2 * 2 * 9 * 4, dtype=np.float64)).reshape(2, 2, 9, 4)
     check_layer_gradients(layer, x)
+
+
+@pytest.mark.parametrize(
+    "kernel_size, dilation, frames",
+    [(1, 1, 9), (3, 5, 4), (5, 2, 3)],
+    ids=["pointwise", "reach-beyond-T", "some-taps-beyond-T"],
+)
+def test_temporal_conv_gradients_pointwise_and_long_reach(kernel_size, dilation, frames):
+    layer = ndnn.TemporalConv(3, 4, kernel_size, dilation, np.random.default_rng(3))
+    check_layer_gradients(layer, RNG.normal(size=(2, 3, frames, 4)))
+
+
+def test_temporal_max_pool_window_5_gradients():
+    layer = ndnn.TemporalMaxPool(5)
+    x = RNG.permutation(np.arange(2 * 2 * 9 * 4, dtype=np.float64)).reshape(2, 2, 9, 4)
+    check_layer_gradients(layer, x)
+
+
+def test_spatial_graph_conv_single_partition_gradients():
+    ring = np.roll(np.eye(4), 1, axis=1) + np.roll(np.eye(4), -1, axis=1) + np.eye(4)
+    layer = ndnn.SpatialGraphConv((ring / 3.0)[None], 3, 5, np.random.default_rng(2))
+    check_layer_gradients(layer, RNG.normal(size=(2, 3, 6, 4)))
+
+
+@pytest.mark.parametrize("dilation", [0, -1])
+def test_temporal_conv_rejects_dilation_below_one(dilation):
+    with pytest.raises(ShapeError, match="dilation"):
+        ndnn.TemporalConv(3, 4, 3, dilation, np.random.default_rng(3))
+
+
+# Reference formulations of the three gait layers, as einsum contractions and
+# an argmax over stacked shifted copies. The layers compute the same sums as
+# batched GEMMs and mask routing; the differential tests below hold them to
+# these references.
+
+
+def reference_spatial(partitions, weight, x, grad_out):
+    """(output, input gradient, weight gradient) of a SpatialGraphConv, without the bias."""
+    agg = np.einsum("pvw,bctw->pbctv", partitions, x, optimize=True)
+    y = np.einsum("pbctv,pco->botv", agg, weight, optimize=True)
+    grad_weight = np.einsum("pbctv,botv->pco", agg, grad_out, optimize=True)
+    gz = np.einsum("botv,pco->pbctv", grad_out, weight, optimize=True)
+    grad_x = np.einsum("pvw,pbctv->bctw", partitions, gz, optimize=True)
+    return y, grad_x, grad_weight
+
+
+def reference_temporal_conv(weight, dilation, x, grad_out):
+    """(output, input gradient, weight gradient) of a TemporalConv, without the bias."""
+    K = weight.shape[0]
+    T = x.shape[2]
+    p = (K // 2) * dilation
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (0, 0)))
+    y = 0.0
+    grad_weight = np.zeros_like(weight)
+    gxp = np.zeros_like(xp)
+    for i in range(K):
+        sl = xp[:, :, i * dilation : i * dilation + T, :]
+        y = y + np.einsum("bctv,co->botv", sl, weight[i], optimize=True)
+        grad_weight[i] = np.einsum("bctv,botv->co", sl, grad_out, optimize=True)
+        gxp[:, :, i * dilation : i * dilation + T, :] += np.einsum(
+            "botv,co->bctv", grad_out, weight[i], optimize=True
+        )
+    return y, gxp[:, :, p : p + T, :], grad_weight
+
+
+def reference_max_pool(window, x, grad_out):
+    """(output, input gradient) of a TemporalMaxPool; ties go to the earliest position."""
+    T = x.shape[2]
+    p = window // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (0, 0)), constant_values=-np.inf)
+    stacked = np.stack([xp[:, :, i : i + T, :] for i in range(window)])
+    argmax = np.argmax(stacked, axis=0)
+    y = np.take_along_axis(stacked, argmax[None], axis=0)[0]
+    gxp = np.zeros(xp.shape)
+    for i in range(window):
+        mask = argmax == i
+        target = gxp[:, :, i : i + T, :]
+        target[mask] += grad_out[mask]
+    return y, gxp[:, :, p : p + T, :]
+
+
+def run_layer(layer, x, grad_out):
+    """(output, input gradient, parameter gradients) of one forward and backward pass."""
+    layer.zero_grads()
+    y, cache = layer.forward(x)
+    grad_x = layer.backward(grad_out, cache)
+    return y, grad_x, {name: g.copy() for name, g in layer.grads.items()}
+
+
+DIFF_TOL = 1e-12
+# The gait-training shapes: batch 16, 64-frame windows, 17 COCO joints.
+B, T, V = 16, 64, 17
+
+
+def branch_gradient(channels, frames):
+    """An output gradient laid out as a gait block passes it to a branch: a channel slice."""
+    return RNG.normal(size=(B, 2 * channels, frames, V))[:, channels // 2 : channels // 2 + channels]
+
+
+def assert_close(actual, expected, what):
+    err = ndnn.relative_error(actual, expected)
+    assert err <= DIFF_TOL, f"{what}: relative error {err:.3e}"
+
+
+@pytest.mark.parametrize("channels", [3, 8, 16])
+@pytest.mark.parametrize("strategy", ["uniform", "distance"], ids=["P1", "P3"])
+def test_spatial_graph_conv_matches_reference(channels, strategy):
+    partitions = build_adjacency(strategy).partitions
+    layer = ndnn.SpatialGraphConv(partitions, channels, 16, np.random.default_rng(channels))
+    layer.params["bias"][...] = RNG.normal(size=16)
+    x = RNG.normal(size=(B, channels, T, V))
+    grad_out = RNG.normal(size=(B, 16, T, V))
+    y, grad_x, grads = run_layer(layer, x, grad_out)
+    ref_y, ref_grad_x, ref_grad_weight = reference_spatial(partitions, layer.params["weight"], x, grad_out)
+    assert_close(y, ref_y + layer.params["bias"][None, :, None, None], "output")
+    assert_close(grad_x, ref_grad_x, "input gradient")
+    assert_close(grads["weight"], ref_grad_weight, "weight gradient")
+    assert_close(grads["bias"], grad_out.sum(axis=(0, 2, 3)), "bias gradient")
+
+
+@pytest.mark.parametrize(
+    "channels, kernel_size, dilation, frames",
+    [(c, k, d, T) for c in (3, 8, 16) for k in (1, 3) for d in (1, 2)] + [(8, 3, 64, T), (8, 5, 3, 5)],
+)
+def test_temporal_conv_matches_reference(channels, kernel_size, dilation, frames):
+    layer = ndnn.TemporalConv(channels, 4, kernel_size, dilation, np.random.default_rng(channels))
+    layer.params["bias"][...] = RNG.normal(size=4)
+    x = RNG.normal(size=(B, channels, frames, V))
+    grad_out = branch_gradient(4, frames)
+    y, grad_x, grads = run_layer(layer, x, grad_out)
+    ref_y, ref_grad_x, ref_grad_weight = reference_temporal_conv(layer.params["weight"], dilation, x, grad_out)
+    assert_close(y, ref_y + layer.params["bias"][None, :, None, None], "output")
+    assert_close(grad_x, ref_grad_x, "input gradient")
+    assert_close(grads["weight"], ref_grad_weight, "weight gradient")
+    assert_close(grads["bias"], grad_out.sum(axis=(0, 2, 3)), "bias gradient")
+
+
+@pytest.mark.parametrize("window", [3, 5])
+@pytest.mark.parametrize("values", ["distinct", "ties"])
+def test_temporal_max_pool_is_bit_identical_to_reference(window, values):
+    shape = (B, 4, T, V)
+    if values == "ties":
+        x = RNG.integers(0, 3, size=shape).astype(np.float64)
+    else:
+        x = RNG.normal(size=shape)
+    grad_out = branch_gradient(4, T)
+    y, grad_x, _ = run_layer(ndnn.TemporalMaxPool(window), x, grad_out)
+    ref_y, ref_grad_x = reference_max_pool(window, x, grad_out)
+    assert np.array_equal(y, ref_y)
+    assert np.array_equal(grad_x, ref_grad_x)
 
 
 def test_softmax_rows_sum_to_one():
