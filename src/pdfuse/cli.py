@@ -20,7 +20,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +51,7 @@ from .gait_features import (
 )
 from .io import (
     config_hash,
+    from_dict,
     load_checkpoint,
     load_direction,
     load_image,
@@ -88,7 +89,7 @@ class DirectionSettings:
 
     def __post_init__(self):
         if self.mode not in MODES:
-            raise ConfigError(f"config section 'direction': mode must be one of {MODES}")
+            raise ConfigError(f"mode must be one of {MODES}")
 
 
 @dataclass(frozen=True)
@@ -117,23 +118,8 @@ class PipelineConfig:
     fusion_train: FusionTrainConfig = field(default_factory=FusionTrainConfig)
     evaluation: EvaluationSettings = field(default_factory=EvaluationSettings)
 
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "out_dir": self.out_dir,
-            "benchmark": self.benchmark.to_dict(),
-            "inversion": dataclasses.asdict(self.inversion),
-            "direction": dataclasses.asdict(self.direction),
-            "gait_model": self.gait_model.to_dict(),
-            "gait_train": dataclasses.asdict(self.gait_train),
-            "face_model": self.face_model.to_dict(),
-            "face_train": dataclasses.asdict(self.face_train),
-            "fusion_train": dataclasses.asdict(self.fusion_train),
-            "evaluation": dataclasses.asdict(self.evaluation),
-        }
-
     def hash(self) -> str:
-        payload = self.to_dict()
+        payload = asdict(self)
         payload.pop("out_dir")  # where artifacts land must not change what they contain
         return config_hash(_jsonable(payload))
 
@@ -150,64 +136,13 @@ def _jsonable(obj):
     return obj
 
 
-def _dataclass_section(section: str, cls, defaults, overrides: dict):
-    """Build a config dataclass from a section dict, rejecting unknown keys."""
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    kwargs = {}
-    for key, value in overrides.items():
-        if key == "seed":
-            raise ConfigError(
-                f"config section '{section}': key 'seed' is derived from the global seed; "
-                "set the top-level 'seed' instead"
-            )
-        if key not in fields:
-            raise ConfigError(f"config section '{section}': unknown key '{key}'")
-        current = getattr(defaults, key)
-        if isinstance(current, tuple) and isinstance(value, list):
-            value = tuple(value)
-        kwargs[key] = value
-    try:
-        return replace(defaults, **kwargs) if kwargs else defaults
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config section '{section}': {exc}") from exc
-
-
-def _dict_backed_section(section: str, cls, overrides: dict):
-    """Same strictness for configs that round-trip through to_dict/from_dict."""
-    base = cls().to_dict()
-    for key, value in overrides.items():
-        if key == "seed":
-            raise ConfigError(
-                f"config section '{section}': key 'seed' is derived from the global seed; "
-                "set the top-level 'seed' instead"
-            )
-        if key not in base:
-            raise ConfigError(f"config section '{section}': unknown key '{key}'")
-        base[key] = value
-    try:
-        return cls.from_dict(base)
-    except (TypeError, ValueError, KeyError) as exc:
-        raise ConfigError(f"config section '{section}': {exc}") from exc
-
-
-_SECTIONS = (
-    "benchmark",
-    "inversion",
-    "direction",
-    "gait_model",
-    "gait_train",
-    "face_model",
-    "face_train",
-    "fusion_train",
-    "evaluation",
-)
-
-
 def load_pipeline_config(path: str | Path | None = None) -> PipelineConfig:
     """Parse a YAML or JSON config document into a PipelineConfig.
 
     Unknown sections and unknown keys inside sections are rejected with the
-    offending name. A missing document yields all defaults.
+    offending name, and every value is type-checked against its field. A
+    section may give only some keys; the rest keep their defaults. A
+    missing document yields all defaults.
     """
     doc: dict = {}
     if path is not None:
@@ -221,53 +156,34 @@ def load_pipeline_config(path: str | Path | None = None) -> PipelineConfig:
             raise ConfigError(f"config file {path} must contain a mapping at the top level")
         doc = loaded
 
-    known_scalars = {"seed": int, "out_dir": str}
+    cfg = PipelineConfig()
+    fields = dataclasses.fields(cfg)
+    names = {f.name for f in fields}
     for key in doc:
-        if key not in known_scalars and key not in _SECTIONS:
+        if key not in names:
             raise ConfigError(f"unknown config section '{key}'")
-    scalars = {}
-    for key, cast in known_scalars.items():
-        if key in doc:
+    for f in fields:
+        if f.name not in doc:
+            continue
+        default, value = getattr(cfg, f.name), doc[f.name]
+        if not dataclasses.is_dataclass(default):
             try:
-                scalars[key] = cast(doc[key])
+                setattr(cfg, f.name, type(default)(value))
             except (TypeError, ValueError) as exc:
-                raise ConfigError(f"config key '{key}': {exc}") from exc
-    for key in _SECTIONS:
-        if key in doc and not isinstance(doc[key], dict):
-            raise ConfigError(f"config section '{key}' must be a mapping")
-
-    defaults = PipelineConfig()
-    try:
-        return PipelineConfig(
-            **scalars,
-            benchmark=_dataclass_section(
-                "benchmark", BenchmarkSpec, defaults.benchmark, doc.get("benchmark", {})
-            ),
-            inversion=_dataclass_section(
-                "inversion", InversionConfig, defaults.inversion, doc.get("inversion", {})
-            ),
-            direction=_dataclass_section(
-                "direction", DirectionSettings, defaults.direction, doc.get("direction", {})
-            ),
-            gait_model=_dict_backed_section("gait_model", GaitModelConfig, doc.get("gait_model", {})),
-            gait_train=_dataclass_section(
-                "gait_train", TrainOptions, defaults.gait_train, doc.get("gait_train", {})
-            ),
-            face_model=_dict_backed_section("face_model", FaceBackboneConfig, doc.get("face_model", {})),
-            face_train=_dataclass_section(
-                "face_train", FaceTrainOptions, defaults.face_train, doc.get("face_train", {})
-            ),
-            fusion_train=_dataclass_section(
-                "fusion_train", FusionTrainConfig, defaults.fusion_train, doc.get("fusion_train", {})
-            ),
-            evaluation=_dataclass_section(
-                "evaluation", EvaluationSettings, defaults.evaluation, doc.get("evaluation", {})
-            ),
-        )
-    except PdfuseError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+                raise ConfigError(f"config key '{f.name}': {exc}") from exc
+            continue
+        if not isinstance(value, dict):
+            raise ConfigError(f"config section '{f.name}' must be a mapping")
+        if "seed" in value:
+            raise ConfigError(
+                f"config section '{f.name}': key 'seed' is derived from the global seed; "
+                "set the top-level 'seed' instead"
+            )
+        try:
+            setattr(cfg, f.name, from_dict(type(default), {**asdict(default), **value}))
+        except FormatError as exc:
+            raise ConfigError(f"config section '{f.name}': {exc}") from exc
+    return cfg
 
 
 def _apply_common_flags(cfg: PipelineConfig, args) -> PipelineConfig:
@@ -297,7 +213,7 @@ def _write_run_record(out: Path, command: str, cfg: PipelineConfig, timings: dic
         "format_version": _RUN_RECORD_VERSION,
         "command": command,
         "seed": cfg.seed,
-        "config": cfg.to_dict(),
+        "config": asdict(cfg),
         "config_hash": cfg.hash(),
         "timings_s": timings,
         "artifacts": sorted(str(a) for a in artifacts),
@@ -330,19 +246,25 @@ def _load_records(path: str | Path) -> list[SubjectRecord]:
     return [_absolutize(rec, manifest) for rec in manifest.records]
 
 
+def _read_checkpoint(path: str, kind: str) -> tuple[dict, dict]:
+    """Arrays and config echo of a checkpoint that must be of ``kind``."""
+    found, arrays, header = load_checkpoint(path)
+    if found != kind:
+        raise FormatError(f"{path} holds a {found!r} checkpoint, expected {kind!r}")
+    if not isinstance(header.get("config"), dict):
+        raise FormatError(f"checkpoint {path}: header has no 'config' object")
+    return arrays, header["config"]
+
+
 def _load_gait_checkpoint(path: str):
-    kind, arrays, header = load_checkpoint(path)
-    if kind != "gait_classifier":
-        raise FormatError(f"{path} holds a {kind!r} checkpoint, expected 'gait_classifier'")
-    cfg = GaitModelConfig.from_dict(header["config"])
+    arrays, config = _read_checkpoint(path, "gait_classifier")
+    cfg = from_dict(GaitModelConfig, config, f"checkpoint {path} config")
     return classifier_from_arrays(arrays, cfg), cfg
 
 
 def _load_face_checkpoint(path: str) -> FaceModel:
-    kind, arrays, header = load_checkpoint(path)
-    if kind != "face_model":
-        raise FormatError(f"{path} holds a {kind!r} checkpoint, expected 'face_model'")
-    model = FaceModel(FaceBackboneConfig.from_dict(header["config"]), seed=0)
+    arrays, config = _read_checkpoint(path, "face_model")
+    model = FaceModel(from_dict(FaceBackboneConfig, config, f"checkpoint {path} config"), seed=0)
     ndnn.load_state_dict(model.named_layers(), arrays)
     return model
 
@@ -351,11 +273,9 @@ def _load_fusion_checkpoint(
     path: str, gait_clf: GaitClassifier, face_model: FaceModel
 ) -> HybridFusionParams:
     """Fusion parameters, checked against the extractors they were trained on."""
-    kind, arrays, header = load_checkpoint(path)
-    if kind != "fusion":
-        raise FormatError(f"{path} holds a {kind!r} checkpoint, expected 'fusion'")
+    arrays, config = _read_checkpoint(path, "fusion")
     for name, model in (("gait", gait_clf), ("face", face_model)):
-        recorded = header["config"].get(f"{name}_checksum")
+        recorded = config.get(f"{name}_checksum")
         if recorded != model.checksum():
             raise FormatError(
                 f"{path} was trained on a {name} extractor with checksum {recorded}, "
@@ -404,7 +324,7 @@ def _cmd_simulate(args, cfg: PipelineConfig) -> int:
     elapsed = time.perf_counter() - started
     _write_json(
         paths.root / "provenance.json",
-        {"format_version": 1, "config_hash": cfg.hash(), "benchmark": spec.to_dict()},
+        {"format_version": 1, "config_hash": cfg.hash(), "benchmark": asdict(spec)},
     )
     metrics = _metrics_payload(
         cfg,
@@ -485,7 +405,7 @@ def _cmd_fit_direction(args, cfg: PipelineConfig) -> int:
     elapsed = time.perf_counter() - started
     save_direction(out / "direction.json", direction, meta={"config_hash": cfg.hash()})
     body = {"mode": mode, "source": args.source, "target": args.target}
-    body.update(direction.diagnostics.to_dict())
+    body.update(asdict(direction.diagnostics))
     if args.oracle:
         oracle = load_direction(args.oracle)
         similarity = cosine(direction.values, oracle.values)
@@ -545,23 +465,11 @@ def _cmd_train_face(args, cfg: PipelineConfig) -> int:
         out / "face.ckpt",
         "face_model",
         ndnn.state_dict(model.named_layers()),
-        config=cfg.face_model.to_dict(),
+        config=asdict(cfg.face_model),
         meta={"config_hash": cfg.hash()},
     )
     (out / "face_report.txt").write_text(report.format_table() + "\n")
-    metrics = _metrics_payload(
-        cfg,
-        {
-            "model_name": report.model_name,
-            "parameter_count": report.parameter_count,
-            "parameter_megabytes": report.parameter_megabytes,
-            "train_accuracy": report.train_accuracy,
-            "test_accuracy": report.test_accuracy,
-            "train_size": report.train_size,
-            "test_size": report.test_size,
-        },
-    )
-    _write_json(out / "face_metrics.json", metrics)
+    _write_json(out / "face_metrics.json", _metrics_payload(cfg, asdict(report)))
     _write_run_record(
         out, "train-face", cfg, {"total": elapsed}, ["face.ckpt", "face_report.txt", "face_metrics.json"]
     )
@@ -587,7 +495,7 @@ def _cmd_train_gait(args, cfg: PipelineConfig) -> int:
         out / "gait.ckpt",
         "gait_classifier",
         ndnn.state_dict(clf.named_layers()),
-        config=cfg.gait_model.to_dict(),
+        config=asdict(cfg.gait_model),
         meta={"config_hash": cfg.hash()},
     )
     metrics = _metrics_payload(
@@ -720,7 +628,7 @@ def _cmd_compare(args, cfg: PipelineConfig) -> int:
         fold_indices=fold_indices,
     )
     timings["total"] = time.perf_counter() - started
-    _write_json(out / "comparison.json", _metrics_payload(cfg, report.to_dict()))
+    _write_json(out / "comparison.json", _metrics_payload(cfg, asdict(report)))
     _write_run_record(out, "compare", cfg, timings, ["comparison.json"])
     print(report.format_table())
     return 0
@@ -748,7 +656,7 @@ def _report_direction(path: Path, oracle_path: str | None) -> str:
         f"direction: {direction.source} -> {direction.target} (dim {direction.dim})",
     ]
     if direction.diagnostics is not None:
-        for key, value in direction.diagnostics.to_dict().items():
+        for key, value in asdict(direction.diagnostics).items():
             lines.append(f"  {key:<14} {value}")
     if oracle_path:
         oracle = load_direction(oracle_path)
@@ -904,11 +812,7 @@ def run_command(argv=None) -> int:
 def main(argv=None) -> int:
     try:
         return run_command(argv)
-    except PdfuseError as exc:
-        record = {"error": type(exc).__name__, "message": str(exc)}
-        print(json.dumps(record, sort_keys=True), file=sys.stderr)
-        return 2
-    except (OSError, ValueError, KeyError) as exc:
+    except (PdfuseError, OSError, ValueError, KeyError) as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(record, sort_keys=True), file=sys.stderr)
         return 2

@@ -70,17 +70,6 @@ class FitDiagnostics:
     degenerate: bool
     separation: float
 
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "epochs_run": self.epochs_run,
-            "initial_loss": self.initial_loss,
-            "final_loss": self.final_loss,
-            "converged": self.converged,
-            "degenerate": self.degenerate,
-            "separation": self.separation,
-        }
-
 
 @dataclass(frozen=True)
 class DirectionVector:

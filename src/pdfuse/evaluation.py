@@ -222,16 +222,6 @@ class ComparisonReport:
     fold_test_sizes: list
     n_controls: int
 
-    def to_dict(self) -> dict:
-        return {
-            "rows": self.rows,
-            "seed": self.seed,
-            "k": self.k,
-            "fold_indices": self.fold_indices,
-            "fold_test_sizes": self.fold_test_sizes,
-            "n_controls": self.n_controls,
-        }
-
     def format_table(self) -> str:
         fold_headers = " ".join(f"{'fold' + str(i):>8}" for i in self.fold_indices)
         lines = [f"{'model':<12} {fold_headers} {'mean':>8}"]

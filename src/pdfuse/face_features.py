@@ -67,25 +67,6 @@ class FaceBackboneConfig:
                 f"factor {factor} of {len(self.conv_channels)} conv stages"
             )
 
-    def to_dict(self) -> dict:
-        return {
-            "image_shape": list(self.image_shape),
-            "conv_channels": list(self.conv_channels),
-            "kernel_size": self.kernel_size,
-            "embedding_dim": self.embedding_dim,
-            "num_classes": self.num_classes,
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "FaceBackboneConfig":
-        return cls(
-            image_shape=tuple(obj["image_shape"]),
-            conv_channels=tuple(obj["conv_channels"]),
-            kernel_size=obj["kernel_size"],
-            embedding_dim=obj["embedding_dim"],
-            num_classes=obj["num_classes"],
-        )
-
 
 class FaceModel:
     """Expression classifier whose penultimate layer is the face feature.
@@ -212,17 +193,6 @@ class ExpressionReport:
     test_accuracy: float
     train_size: int
     test_size: int
-
-    def to_dict(self) -> dict:
-        return {
-            "model_name": self.model_name,
-            "parameter_count": self.parameter_count,
-            "parameter_megabytes": self.parameter_megabytes,
-            "train_accuracy": self.train_accuracy,
-            "test_accuracy": self.test_accuracy,
-            "train_size": self.train_size,
-            "test_size": self.test_size,
-        }
 
     def format_table(self) -> str:
         header = f"{'Model':<16} {'Parameters':>12} {'Train Acc.':>11} {'Test Acc.':>10}"

@@ -21,13 +21,6 @@ from .manifest import PD_INDEX
 
 NUM_JOINTS = 17
 
-JOINT_NAMES = (
-    "nose", "left_eye", "right_eye", "left_ear", "right_ear",
-    "left_shoulder", "right_shoulder", "left_elbow", "right_elbow",
-    "left_wrist", "right_wrist", "left_hip", "right_hip",
-    "left_knee", "right_knee", "left_ankle", "right_ankle",
-)
-
 # COCO person skeleton, 0-indexed joint pairs.
 COCO_EDGES = (
     (15, 13), (13, 11), (16, 14), (14, 12), (11, 12),
@@ -93,8 +86,8 @@ def save_keypoints(seq: SkeletonSequence, path: str | Path, meta: dict | None = 
 def load_keypoints(path: str | Path) -> SkeletonSequence:
     path = Path(path)
     try:
-        raw_lines = path.read_text().splitlines()
-    except OSError as exc:
+        raw_lines = path.read_bytes().decode("utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"cannot read keypoint file {path}: {exc}") from exc
     lines = [ln for ln in raw_lines if ln.strip() and not ln.lstrip().startswith("#")]
     if not lines:
@@ -291,38 +284,6 @@ class GaitModelConfig:
     @property
     def num_blocks(self) -> int:
         return len(self.channels)
-
-    def to_dict(self) -> dict:
-        return {
-            "channels": list(self.channels),
-            "branches": [
-                {"kind": b.kind, "kernel_size": b.kernel_size, "dilation": b.dilation}
-                for b in self.branches
-            ],
-            "window_length": self.window_length,
-            "stride": self.stride,
-            "min_confidence": self.min_confidence,
-            "embedding_dim": self.embedding_dim,
-            "partition_strategy": self.partition_strategy,
-            "in_channels": self.in_channels,
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "GaitModelConfig":
-        branches = tuple(
-            BranchSpec(kind=b["kind"], kernel_size=b["kernel_size"], dilation=b["dilation"])
-            for b in obj["branches"]
-        )
-        return cls(
-            channels=tuple(obj["channels"]),
-            branches=branches,
-            window_length=obj["window_length"],
-            stride=obj["stride"],
-            min_confidence=obj["min_confidence"],
-            embedding_dim=obj["embedding_dim"],
-            partition_strategy=obj["partition_strategy"],
-            in_channels=obj.get("in_channels", 3),
-        )
 
 
 def window_count(num_frames: int, window_length: int, stride: int) -> int:
@@ -525,11 +486,6 @@ class GaitClassifier:
 
     def subject_feature(self, windows: np.ndarray) -> np.ndarray:
         return gait_forward(windows, self.model)
-
-    def predict_logits(self, windows: np.ndarray) -> np.ndarray:
-        feature = self.subject_feature(windows)
-        logits, _ = self.head.forward(feature[None, :])
-        return logits[0]
 
     def named_layers(self) -> dict:
         """Checkpoint names: ``layerNN`` over the extractor's layers, then ``head``."""

@@ -18,9 +18,14 @@ artifact with the producing config hash.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+import hashlib
 import json
 import math
 import struct
+import types
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +56,80 @@ def _json_object(raw: bytes, what: str) -> dict:
     if not isinstance(obj, dict):
         raise FormatError(f"{what} is not a JSON object")
     return obj
+
+
+def from_dict(cls, obj, what: str = ""):
+    """Decode ``obj`` into dataclass ``cls``: the inverse of ``dataclasses.asdict``.
+
+    ``obj`` must be a dict holding every field of ``cls`` and no other key.
+    Each value must match its field's annotation: ``int`` (not a bool),
+    ``float`` (an int is kept as given, so config hashes do not move),
+    ``str``, ``bool``, ``tuple[T, ...]`` or ``tuple[A, B]`` (from a list or
+    tuple), a nested dataclass (from a dict), or ``X | None``. A violation,
+    or a ``ValueError`` from the constructor's own checks, raises
+    ``FormatError`` naming the key path, such as ``branches[1].kernel_size``,
+    after ``what`` when given.
+    """
+    try:
+        return _decoder(cls)(obj, "")
+    except FormatError as exc:
+        if not what:
+            raise
+        raise FormatError(f"{what}: {exc}") from exc
+
+
+def _fail(where: str, problem: str) -> FormatError:
+    return FormatError(f"{where}: {problem}" if where else problem)
+
+
+@functools.cache
+def _decoder(tp):
+    """``decode(value, where)`` for annotation ``tp``; built once per type, so
+    annotations are resolved once, not once per record."""
+    if dataclasses.is_dataclass(tp):
+        hints = typing.get_type_hints(tp)
+        fields = {f.name: _decoder(hints[f.name]) for f in dataclasses.fields(tp)}
+
+        def decode(value, where):
+            if type(value) is not dict:
+                raise _fail(where, f"expected object, got {type(value).__name__}")
+            if value.keys() != fields.keys():
+                unknown = [k for k in value if k not in fields]
+                missing = [k for k in fields if k not in value]
+                raise _fail(where, f"unknown key {unknown[0]!r}" if unknown else f"missing key {missing[0]!r}")
+            prefix = f"{where}." if where else ""
+            kwargs = {key: field(value[key], prefix + key) for key, field in fields.items()}
+            try:
+                return tp(**kwargs)
+            except ValueError as exc:
+                raise _fail(where, str(exc)) from exc
+
+        return decode
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is tuple:
+        variadic = args[-1] is Ellipsis
+        items = [_decoder(t) for t in (args[:-1] if variadic else args)]
+
+        def decode(value, where):
+            if type(value) not in (list, tuple):
+                raise _fail(where, f"expected list, got {type(value).__name__}")
+            if not variadic and len(value) != len(items):
+                raise _fail(where, f"expected {len(items)} items, got {len(value)}")
+            decoders = items * len(value) if variadic else items
+            return tuple(d(v, f"{where}[{i}]") for i, (d, v) in enumerate(zip(decoders, value)))
+
+        return decode
+    if origin is types.UnionType:  # only ever ``X | None``
+        inner = _decoder(args[0])
+        return lambda value, where: None if value is None else inner(value, where)
+    accepted = (int, float) if tp is float else (tp,)  # a bool is not an int here
+
+    def decode(value, where):
+        if type(value) not in accepted:
+            raise _fail(where, f"expected {tp.__name__}, got {type(value).__name__}")
+        return value
+
+    return decode
 
 
 def save_image(path: str | Path, image: ImageTensor, meta: dict | None = None) -> None:
@@ -142,7 +221,7 @@ def save_direction(path: str | Path, direction: DirectionVector, meta: dict | No
         "values": [float(v) for v in direction.values],
     }
     if direction.diagnostics is not None:
-        obj["diagnostics"] = direction.diagnostics.to_dict()
+        obj["diagnostics"] = dataclasses.asdict(direction.diagnostics)
     if meta:
         obj.update(meta)
     path.write_text(json.dumps(obj, sort_keys=True) + "\n")
@@ -154,23 +233,9 @@ def load_direction(path: str | Path) -> DirectionVector:
     if obj.get("kind") != "direction" or obj.get("format_version") != DIRECTION_VERSION:
         raise FormatError(f"direction {path}: missing or unsupported header fields")
     diag = None
-    if "diagnostics" in obj:
-        d = obj["diagnostics"]
-        if not isinstance(d, dict):
-            raise FormatError(f"direction {path}: diagnostics is not a JSON object")
-        try:
-            diag = FitDiagnostics(
-                mode=d["mode"],
-                epochs_run=d["epochs_run"],
-                initial_loss=d["initial_loss"],
-                final_loss=d["final_loss"],
-                converged=d["converged"],
-                degenerate=d["degenerate"],
-                separation=d["separation"],
-            )
-        except KeyError as exc:
-            raise FormatError(f"direction {path}: diagnostics missing field {exc}") from exc
     try:
+        if "diagnostics" in obj:
+            diag = from_dict(FitDiagnostics, obj["diagnostics"], "diagnostics")
         values = np.asarray(obj["values"], dtype=np.float64)
         return DirectionVector(values=values, source=obj["source"], target=obj["target"], diagnostics=diag)
     except KeyError as exc:
@@ -250,7 +315,5 @@ def load_checkpoint(path: str | Path) -> tuple[str, dict[str, np.ndarray], dict]
 
 def config_hash(config: dict) -> str:
     """Stable hash of a config mapping (canonical JSON, SHA-256)."""
-    import hashlib
-
     blob = json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .errors import FormatError
+from .io import from_dict
 
 LABEL_PD = "PD"
 LABEL_CONTROL = "non-PD"
@@ -82,46 +83,20 @@ class DatasetManifest:
         return self.root / path
 
 
-def _record_to_dict(rec: SubjectRecord) -> dict:
-    return {
-        "subject_id": rec.subject_id,
-        "label": rec.label,
-        "source": rec.source,
-        "gait_path": rec.gait_path,
-        "faces": [{"path": f.path, "expression": f.expression} for f in rec.faces],
-    }
-
-
-def _record_from_dict(obj: dict, line_no: int) -> SubjectRecord:
-    try:
-        faces = tuple(
-            FaceImageRef(path=f["path"], expression=f["expression"]) for f in obj["faces"]
-        )
-        return SubjectRecord(
-            subject_id=obj["subject_id"],
-            label=obj["label"],
-            gait_path=obj["gait_path"],
-            faces=faces,
-            source=obj.get("source", "clinical"),
-        )
-    except KeyError as exc:
-        raise FormatError(f"manifest line {line_no}: missing field {exc}") from exc
-
-
 def save_manifest(manifest: DatasetManifest, path: str | Path) -> None:
     path = Path(path)
     header = {"kind": "manifest", "format_version": MANIFEST_VERSION}
     lines = [json.dumps(header, sort_keys=True)]
     for rec in manifest.records:
-        lines.append(json.dumps(_record_to_dict(rec), sort_keys=True))
+        lines.append(json.dumps(asdict(rec), sort_keys=True))
     path.write_text("\n".join(lines) + "\n")
 
 
 def load_manifest(path: str | Path) -> DatasetManifest:
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_bytes().decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"cannot read manifest {path}: {exc}") from exc
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -130,7 +105,7 @@ def load_manifest(path: str | Path) -> DatasetManifest:
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
         raise FormatError(f"manifest {path} line 1 is not valid JSON: {exc}") from exc
-    if header.get("kind") != "manifest":
+    if not isinstance(header, dict) or header.get("kind") != "manifest":
         raise FormatError(f"manifest {path} lacks a manifest header record")
     if header.get("format_version") != MANIFEST_VERSION:
         raise FormatError(
@@ -143,7 +118,9 @@ def load_manifest(path: str | Path) -> DatasetManifest:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise FormatError(f"manifest {path} line {i} is not valid JSON: {exc}") from exc
-        records.append(_record_from_dict(obj, i))
+        if isinstance(obj, dict):
+            obj.setdefault("source", "clinical")
+        records.append(from_dict(SubjectRecord, obj, f"manifest {path} line {i}"))
     return DatasetManifest(records=records, root=path.parent.resolve())
 
 

@@ -17,7 +17,7 @@ disk, in the manifest and file formats the rest of the package consumes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +34,7 @@ from .gait_features import (
     SkeletonSequence,
     save_keypoints,
 )
-from .io import save_image
+from .io import _json_object, from_dict, save_direction, save_image
 from .latent_editing import Generator, ImageTensor, LatentVector
 from .manifest import (
     LABEL_CONTROL,
@@ -56,20 +56,6 @@ class ToyGeneratorSpec:
     channels: int = 1
     gain: float = 4.0
     seed: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "latent_dim": self.latent_dim,
-            "height": self.height,
-            "width": self.width,
-            "channels": self.channels,
-            "gain": self.gain,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "ToyGeneratorSpec":
-        return cls(**obj)
 
 
 class ToyGenerator(Generator):
@@ -358,9 +344,6 @@ class BenchmarkSpec:
     noise_sigma: float = 0.5
     seed: int = 0
 
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
 
 def _orthonormal_directions(d: int, count: int, rng) -> np.ndarray:
     raw = rng.normal(size=(d, count))
@@ -379,7 +362,10 @@ class BenchmarkPaths:
 
 
 def load_generator_spec(path: str | Path) -> ToyGeneratorSpec:
-    return ToyGeneratorSpec.from_dict(json.loads(Path(path).read_text())["generator"])
+    """The toy generator spec stored in a benchmark's ``generator.json``."""
+    path = Path(path)
+    doc = _json_object(path.read_bytes(), f"generator spec {path}")
+    return from_dict(ToyGeneratorSpec, doc.get("generator"), f"generator spec {path}: generator")
 
 
 def expression_cluster_means(spec: BenchmarkSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -435,7 +421,7 @@ def build_benchmark(spec: BenchmarkSpec, out_dir: str | Path) -> BenchmarkPaths:
     generator, _ = make_toy_generator(gen_spec)
     generator_path = root / "generator.json"
     generator_path.write_text(
-        json.dumps({"format_version": 1, "generator": gen_spec.to_dict()}, sort_keys=True) + "\n"
+        json.dumps({"format_version": 1, "generator": asdict(gen_spec)}, sort_keys=True) + "\n"
     )
 
     neutral, directions = expression_cluster_means(spec)
@@ -462,8 +448,6 @@ def build_benchmark(spec: BenchmarkSpec, out_dir: str | Path) -> BenchmarkPaths:
         path = samples_dir / f"{name}.npy"
         np.save(path, latents)
         latent_samples[name] = path
-
-    from .io import save_direction  # local import keeps module load light
 
     oracle_dir = root / "oracle_directions"
     oracle_dir.mkdir(exist_ok=True)

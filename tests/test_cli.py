@@ -4,7 +4,9 @@ The heavyweight artifacts (benchmark, checkpoints) are built once per module
 by chaining the real commands, exactly as a user would.
 """
 
+import dataclasses
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -12,9 +14,10 @@ import pytest
 from pdfuse.cli import PipelineConfig, load_pipeline_config, main
 from pdfuse.direction_discovery import DirectionVector
 from pdfuse.errors import ConfigError
-from pdfuse.io import load_checkpoint, load_latent, save_direction, save_latent
+from pdfuse.fusion import FusionTrainConfig
+from pdfuse.io import load_checkpoint, load_latent, save_checkpoint, save_direction, save_latent
 from pdfuse.latent_editing import LatentVector
-from pdfuse.manifest import load_manifest
+from pdfuse.manifest import DatasetManifest, load_manifest, save_manifest
 
 CONFIG_TEXT = """
 benchmark:
@@ -94,11 +97,39 @@ class TestConfigLoading:
         assert cfg.seed == 0
         assert cfg.benchmark.n_per_class == 200
 
-    def test_yaml_lists_become_tuples(self, pipeline):
-        cfg = load_pipeline_config(pipeline["config"])
+    def test_yaml_lists_become_tuples(self, pipeline, tmp_path):
+        doc = tmp_path / "config.yaml"
+        doc.write_text(CONFIG_TEXT + "evaluation:\n  fold_indices: [0, 2]\n")
+        cfg = load_pipeline_config(doc)
         assert cfg.gait_model.channels == (8,)
         assert cfg.face_model.conv_channels == (2,)
         assert cfg.gait_train.epochs == 2
+        assert cfg.evaluation.fold_indices == (0, 2)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("benchmark:\n  n_per_class: x\n", "section 'benchmark': n_per_class: expected int, got str"),
+            ("inversion:\n  lambda_layers: 3\n", "section 'inversion': lambda_layers: expected list, got int"),
+            ("gait_model:\n  branches: [{kind: conv}]\n", r"section 'gait_model': branches\[0\]: missing key"),
+            ("direction:\n  mode: fast\n", "section 'direction': mode must be one of"),
+            ("evaluation:\n  fold_indices: [0, true]\n", r"section 'evaluation': fold_indices\[1\]: expected int"),
+        ],
+        ids=["str-for-int", "int-for-tuple", "partial-nested", "constructor-check", "bool-in-tuple"],
+    )
+    def test_value_types_checked_against_fields(self, tmp_path, text, message):
+        doc = tmp_path / "bad.yaml"
+        doc.write_text(text)
+        with pytest.raises(ConfigError, match=f"config {message}"):
+            load_pipeline_config(doc)
+
+    def test_int_for_float_is_kept_so_the_hash_holds(self, tmp_path):
+        doc = tmp_path / "config.yaml"
+        doc.write_text("fusion_train:\n  learning_rate: 1\n")
+        cfg = load_pipeline_config(doc)
+        assert type(cfg.fusion_train.learning_rate) is int
+        assert cfg.hash() == PipelineConfig(fusion_train=FusionTrainConfig(learning_rate=1)).hash()
+        assert cfg.hash() != PipelineConfig(fusion_train=FusionTrainConfig(learning_rate=1.0)).hash()
 
     def test_unknown_section_rejected(self, tmp_path):
         doc = tmp_path / "bad.yaml"
@@ -484,3 +515,113 @@ class TestErrorReporting:
         assert main(argv) == 2
         record = json.loads(capsys.readouterr().err)
         assert "expected 'gait_classifier'" in record["message"]
+
+
+def _edited_checkpoint(src, dst, edit):
+    """Copy of checkpoint ``src`` whose config echo went through ``edit``."""
+    kind, arrays, header = load_checkpoint(src)
+    config = header["config"]
+    edit(config)
+    save_checkpoint(dst, kind, arrays, config)
+    return dst
+
+
+def _bad_generator(pipeline, tmp):
+    doc = json.loads((pipeline["bench"] / "generator.json").read_text())
+    doc["generator"]["extra"] = 1
+    (tmp / "generator.json").write_text(json.dumps(doc))
+    return ["invert", "--image", str(tmp / "x.img"), "--generator-spec", str(tmp / "generator.json"), "--out", str(tmp)]
+
+
+def _binary_generator(pipeline, tmp):
+    (tmp / "generator.json").write_bytes(b"\xff\xfe{}")
+    return ["invert", "--image", str(tmp / "x.img"), "--generator-spec", str(tmp / "generator.json"), "--out", str(tmp)]
+
+
+def _list_record_manifest(pipeline, tmp):
+    (tmp / "m.jsonl").write_text('{"format_version": 1, "kind": "manifest"}\n["s0", "PD"]\n')
+    return ["train-gait", "--manifest", str(tmp / "m.jsonl"), "--out", str(tmp)]
+
+
+def _binary_keypoints_manifest(pipeline, tmp):
+    manifest = load_manifest(pipeline["manifest"])
+    (tmp / "bad.kpts").write_bytes(b"\xff\xfe\x00 not text")
+    records = [dataclasses.replace(r, gait_path=str(manifest.resolve(r.gait_path))) for r in manifest.records]
+    records[0] = dataclasses.replace(records[0], gait_path=str(tmp / "bad.kpts"))
+    save_manifest(DatasetManifest(records=records), tmp / "m.jsonl")
+    return ["train-gait", "--manifest", str(tmp / "m.jsonl"), "--out", str(tmp)]
+
+
+def _bad_config(pipeline, tmp):
+    (tmp / "c.yaml").write_text("benchmark:\n  n_per_class: x\n")
+    return ["simulate", "--config", str(tmp / "c.yaml"), "--out", str(tmp)]
+
+
+def _evaluate_with(pipeline, tmp, flag, ckpt):
+    argv = TestEvaluateCommand().evaluate_argv(pipeline, tmp)
+    argv[argv.index(flag) + 1] = str(ckpt)
+    return argv
+
+
+def _gait_branches_int(pipeline, tmp):
+    ckpt = _edited_checkpoint(pipeline["gait_ckpt"], tmp / "g.ckpt", lambda c: c.update(branches=3))
+    return _evaluate_with(pipeline, tmp, "--gait", ckpt)
+
+
+def _gait_missing_key(pipeline, tmp):
+    ckpt = _edited_checkpoint(pipeline["gait_ckpt"], tmp / "g.ckpt", lambda c: c.pop("stride"))
+    return _evaluate_with(pipeline, tmp, "--gait", ckpt)
+
+
+def _face_unknown_key(pipeline, tmp):
+    ckpt = _edited_checkpoint(pipeline["face_ckpt"], tmp / "f.ckpt", lambda c: c.update(extra=1))
+    return _evaluate_with(pipeline, tmp, "--face", ckpt)
+
+
+def _checkpoint_without_config(pipeline, tmp):
+    header = json.dumps({"format_version": 1, "kind": "gait_classifier"}).encode()
+    ckpt = tmp / "g.ckpt"
+    ckpt.write_bytes(b"PDCK" + struct.pack("<II", 1, len(header)) + header + struct.pack("<I", 0))
+    return _evaluate_with(pipeline, tmp, "--gait", ckpt)
+
+
+def _direction_unknown_diagnostic(pipeline, tmp):
+    diagnostics = {
+        "mode": "standard", "epochs_run": 3, "initial_loss": 0.7, "final_loss": 0.1,
+        "converged": True, "degenerate": False, "separation": 1.0, "lr": 0.1,
+    }
+    doc = {
+        "format_version": 1, "kind": "direction", "source": "a", "target": "b", "values": [1.0],
+        "diagnostics": diagnostics,
+    }
+    (tmp / "d.json").write_text(json.dumps(doc))
+    return ["report", "--artifact", str(tmp / "d.json")]
+
+
+MALFORMED = [
+    (_bad_generator, "FormatError", "generator: unknown key 'extra'"),
+    (_binary_generator, "FormatError", "is not valid UTF-8 JSON"),
+    (_list_record_manifest, "FormatError", "line 2: expected object, got list"),
+    (_binary_keypoints_manifest, "FormatError", "cannot read keypoint file"),
+    (_bad_config, "ConfigError", "section 'benchmark': n_per_class: expected int, got str"),
+    (_gait_branches_int, "FormatError", "config: branches: expected list, got int"),
+    (_gait_missing_key, "FormatError", "config: missing key 'stride'"),
+    (_face_unknown_key, "FormatError", "config: unknown key 'extra'"),
+    (_checkpoint_without_config, "FormatError", "header has no 'config' object"),
+    (_direction_unknown_diagnostic, "FormatError", "diagnostics: unknown key 'lr'"),
+]
+
+
+class TestMalformedInputs:
+    """Each malformed artifact or config exits 2 with one JSON line naming the bad key."""
+
+    @pytest.mark.parametrize(
+        "make_argv, error, message", MALFORMED, ids=[case[0].__name__.strip("_") for case in MALFORMED]
+    )
+    def test_exit_2_with_one_json_line(self, pipeline, tmp_path, capsys, make_argv, error, message):
+        assert main(make_argv(pipeline, tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        record = json.loads(err)
+        assert record["error"] == error
+        assert message in record["message"]

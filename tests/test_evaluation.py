@@ -223,6 +223,17 @@ class TestEvaluate:
         assert report.failures[0]["subject_id"] == broken.subject_id
         assert "face image missing" in report.failures[0]["error"]
 
+    def test_skip_failures_lists_binary_keypoint_file(self, tiny_bench_dir, bench_models, tmp_path):
+        manifest = load_manifest(tiny_bench_dir / "manifest.jsonl")
+        binary = tmp_path / "binary.kpts"
+        binary.write_bytes(b"\xff\xfe\x00\x01 not keypoints")
+        broken = dataclasses.replace(manifest.records[0], gait_path=str(binary))
+        records = [broken] + manifest.records[1:]
+        report = evaluate(bench_models, records, manifest.resolve, skip_failures=True)
+        assert report.n_subjects == len(records) - 1
+        assert [f["subject_id"] for f in report.failures] == [broken.subject_id]
+        assert "cannot read keypoint file" in report.failures[0]["error"]
+
     def test_model_mismatch_aborts_even_when_skipping(self, tiny_bench_dir, bench_models):
         manifest = load_manifest(tiny_bench_dir / "manifest.jsonl")
         wide_fusion = HybridFusionParams.init(5, 3, seed=13)  # the gait extractor gives 4 dims

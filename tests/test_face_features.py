@@ -1,5 +1,8 @@
 """Expression backbone, synthesis-based augmentation, and face features."""
 
+import json
+from dataclasses import asdict
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -18,6 +21,7 @@ from pdfuse.face_features import (
     extract_face_features,
     train_expression_classifier,
 )
+from pdfuse.io import from_dict
 from pdfuse.latent_editing import LatentVector
 from pdfuse.synthetic_bench import ToyGeneratorSpec, make_toy_generator
 
@@ -46,7 +50,7 @@ def test_config_rejects_indivisible_image():
 
 
 def test_config_round_trips_through_dict():
-    assert FaceBackboneConfig.from_dict(SMALL_CFG.to_dict()) == SMALL_CFG
+    assert from_dict(FaceBackboneConfig, json.loads(json.dumps(asdict(SMALL_CFG)))) == SMALL_CFG
 
 
 class TestFaceModelForward:
@@ -179,7 +183,7 @@ class TestTraining:
         assert "Parameters" in table
         assert "Train Acc." in table
         assert "Test Acc." in table
-        as_dict = report.to_dict()
+        as_dict = asdict(report)
         for key in ("model_name", "parameter_count", "train_accuracy", "test_accuracy"):
             assert key in as_dict
 

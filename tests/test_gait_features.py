@@ -5,6 +5,9 @@ blocks, eight channels) so the whole file stays fast while still exercising
 every layer kind the real model uses.
 """
 
+import json
+from dataclasses import asdict
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -33,6 +36,7 @@ from pdfuse.gait_features import (
     window_count,
     windows_to_bctv,
 )
+from pdfuse.io import from_dict
 from pdfuse.synthetic_bench import GaitSimSpec, simulate_gait
 
 TINY_CFG = GaitModelConfig(channels=(8, 8), window_length=16, stride=8, embedding_dim=6)
@@ -77,6 +81,12 @@ class TestKeypointFiles:
         lines[2] = " ".join(parts)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(FormatError, match=r"confidence must lie in \[0, 1\]"):
+            load_keypoints(path)
+
+    def test_non_utf8_file_raises_format_error(self, tmp_path):
+        path = tmp_path / "subject.kpts"
+        path.write_bytes(b"\xff\xfe\x00\x01 binary")
+        with pytest.raises(FormatError, match="cannot read keypoint file"):
             load_keypoints(path)
 
     def test_header_frame_count_enforced(self, tmp_path):
@@ -276,7 +286,7 @@ class TestGaitModel:
 
     def test_config_round_trips_through_dict(self):
         cfg = GaitModelConfig(channels=(8,), embedding_dim=4)
-        assert GaitModelConfig.from_dict(cfg.to_dict()) == cfg
+        assert from_dict(GaitModelConfig, json.loads(json.dumps(asdict(cfg)))) == cfg
 
 
 class TestTraining:

@@ -1,22 +1,34 @@
 """Round trips and corruption handling for every on-disk format."""
 
+import dataclasses
+import json
 import struct
+import types
+import typing
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdfuse import io
-from pdfuse.direction_discovery import DirectionVector, FitDiagnostics
+from pdfuse.cli import DirectionSettings, EvaluationSettings
+from pdfuse.direction_discovery import MODES, DirectionVector, FitDiagnostics
 from pdfuse.errors import FormatError
-from pdfuse.latent_editing import ImageTensor, LatentVector
+from pdfuse.face_features import FaceBackboneConfig, FaceTrainOptions
+from pdfuse.fusion import FusionTrainConfig
+from pdfuse.gait_features import PARTITION_STRATEGIES, GaitModelConfig, TrainOptions
+from pdfuse.latent_editing import ImageTensor, InversionConfig, LatentVector
 from pdfuse.manifest import (
+    LABELS,
     DatasetManifest,
     FaceImageRef,
     SubjectRecord,
     load_manifest,
     save_manifest,
 )
+from pdfuse.synthetic_bench import BenchmarkSpec, ToyGeneratorSpec
 
 
 def test_image_round_trip(tmp_path):
@@ -130,11 +142,29 @@ def _direction_file(tmp_path, raw: bytes):
         b'{"kind": "direction", "format_version": 1, "source": "a", "target": "b", "values": ["x", "y"]}',
         b'{"kind": "direction", "format_version": 1, "source": "a", "target": "b", "values": [1.0], '
         b'"diagnostics": [1]}',
+        b'{"kind": "direction", "format_version": 1, "source": "a", "target": "b", "values": [1.0], '
+        b'"diagnostics": {"mode": "standard", "epochs_run": 3, "initial_loss": 0.7, "final_loss": 0.1, '
+        b'"converged": true, "degenerate": false, "separation": 1.0, "lr": 0.1}}',
+        b'{"kind": "direction", "format_version": 1, "source": "a", "target": "b", "values": [1.0], '
+        b'"diagnostics": {"mode": "standard", "epochs_run": 3.0, "initial_loss": 0.7, "final_loss": 0.1, '
+        b'"converged": true, "degenerate": false, "separation": 1.0}}',
     ],
-    ids=["json-not-object", "not-utf8", "non-numeric-values", "diagnostics-not-object"],
+    ids=[
+        "json-not-object", "not-utf8", "non-numeric-values", "diagnostics-not-object",
+        "diagnostics-unknown-key", "diagnostics-float-epochs",
+    ],
 )
 def test_direction_malformed_file_raises_format_error(tmp_path, raw):
     with pytest.raises(FormatError):
+        io.load_direction(_direction_file(tmp_path, raw))
+
+
+def test_direction_error_names_diagnostics_key(tmp_path):
+    raw = (
+        b'{"kind": "direction", "format_version": 1, "source": "a", "target": "b", "values": [1.0], '
+        b'"diagnostics": {"mode": "standard"}}'
+    )
+    with pytest.raises(FormatError, match="diagnostics: missing key 'epochs_run'"):
         io.load_direction(_direction_file(tmp_path, raw))
 
 
@@ -201,6 +231,139 @@ def test_config_hash_stable_and_order_free():
     assert io.config_hash({"a": 1}) != io.config_hash({"a": 2})
 
 
+# Every dataclass an artifact or config document is decoded into; BranchSpec
+# and FaceImageRef are decoded as parts of GaitModelConfig and SubjectRecord.
+DECODED = (
+    BenchmarkSpec,
+    InversionConfig,
+    DirectionSettings,
+    GaitModelConfig,
+    TrainOptions,
+    FaceBackboneConfig,
+    FaceTrainOptions,
+    FusionTrainConfig,
+    EvaluationSettings,
+    ToyGeneratorSpec,
+    SubjectRecord,
+    FitDiagnostics,
+)
+
+# String fields whose class accepts only a few values.
+_CHOICES = {
+    "kind": ("conv", "pointwise", "pool"),
+    "partition_strategy": PARTITION_STRATEGIES,
+    "init": ("zeros", "random", "warm"),
+    "mode": MODES,
+    "label": LABELS,
+}
+
+
+def _values(tp, name=""):
+    if name in _CHOICES:
+        return st.sampled_from(_CHOICES[name])
+    if dataclasses.is_dataclass(tp):
+        return _instances(tp)
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) is tuple:
+        if args[-1] is Ellipsis:
+            return st.lists(_values(args[0]), max_size=3).map(tuple)
+        return st.tuples(*map(_values, args))
+    if typing.get_origin(tp) is types.UnionType:
+        return st.none() | _values(args[0])
+    return {
+        int: st.integers(0, 64),
+        float: st.floats(allow_nan=False) | st.integers(-3, 3),
+        str: st.text(max_size=6),
+        bool: st.booleans(),
+    }[tp]
+
+
+def _build(cls, kwargs):
+    try:
+        return cls(**kwargs)
+    except ValueError:
+        return None
+
+
+def _instances(cls):
+    """Valid instances of ``cls``, each field at its default or a drawn value."""
+    hints = typing.get_type_hints(cls)
+    fields = {}
+    for f in dataclasses.fields(cls):
+        drawn = _values(hints[f.name], f.name)
+        if f.default is not dataclasses.MISSING:
+            drawn = st.just(f.default) | drawn
+        elif f.default_factory is not dataclasses.MISSING:
+            drawn = st.just(f.default_factory()) | drawn
+        fields[f.name] = drawn
+    return st.fixed_dictionaries(fields).map(lambda kw: _build(cls, kw)).filter(lambda x: x is not None)
+
+
+@pytest.mark.parametrize("cls", DECODED, ids=lambda cls: cls.__name__)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_from_dict_inverts_asdict_through_json(cls, data):
+    value = data.draw(_instances(cls))
+    text = json.dumps(dataclasses.asdict(value), sort_keys=True)
+    decoded = io.from_dict(cls, json.loads(text))
+    assert decoded == value
+    assert json.dumps(dataclasses.asdict(decoded), sort_keys=True) == text  # an int stays an int
+
+
+def _gait_doc(**changes):
+    doc = json.loads(json.dumps(dataclasses.asdict(GaitModelConfig())))
+    doc.update(changes)
+    return {k: v for k, v in doc.items() if v is not dataclasses.MISSING}
+
+
+_POINTWISE = {"kind": "pointwise", "kernel_size": 3, "dilation": 1}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ([1], "^expected object, got list$"),
+        (_gait_doc(extra=1), "^unknown key 'extra'$"),
+        (_gait_doc(stride=dataclasses.MISSING), "^missing key 'stride'$"),
+        (_gait_doc(branches=3), "^branches: expected list, got int$"),
+        (
+            _gait_doc(branches=[_POINTWISE, dict(_POINTWISE, kernel_size="3")]),
+            r"^branches\[1\]\.kernel_size: expected int, got str$",
+        ),
+        (_gait_doc(branches=[_POINTWISE, dict(_POINTWISE, x=1)]), r"^branches\[1\]: unknown key 'x'$"),
+        (_gait_doc(window_length=True), "^window_length: expected int, got bool$"),
+        (_gait_doc(window_length=64.0), "^window_length: expected int, got float$"),
+        (_gait_doc(min_confidence="0.3"), "^min_confidence: expected float, got str$"),
+        (_gait_doc(partition_strategy=None), "^partition_strategy: expected str, got NoneType$"),
+        (_gait_doc(channels=[6]), "not divisible"),
+    ],
+    ids=[
+        "not-object", "unknown-key", "missing-key", "branches-int", "nested-type", "nested-unknown-key",
+        "bool-for-int", "float-for-int", "str-for-float", "null-for-str", "constructor-check",
+    ],
+)
+def test_from_dict_rejects_malformed_input_naming_the_key(doc, message):
+    with pytest.raises(FormatError, match=message):
+        io.from_dict(GaitModelConfig, doc)
+
+
+def test_from_dict_prefixes_the_context():
+    with pytest.raises(FormatError, match="^checkpoint c config: branches: expected list, got int$"):
+        io.from_dict(GaitModelConfig, _gait_doc(branches=3), "checkpoint c config")
+
+
+def test_from_dict_tuples_optionals_and_ints_for_floats():
+    fusion = io.from_dict(FusionTrainConfig, {"learning_rate": 1, "epochs": 2, "batch_size": 4, "seed": 0})
+    assert type(fusion.learning_rate) is int
+    face = dataclasses.asdict(FaceBackboneConfig())
+    with pytest.raises(FormatError, match="^image_shape: expected 3 items, got 2$"):
+        io.from_dict(FaceBackboneConfig, dict(face, image_shape=[32, 32]))
+    assert io.from_dict(EvaluationSettings, {"k": 2, "fold_indices": None}).fold_indices is None
+    assert io.from_dict(EvaluationSettings, {"k": 2, "fold_indices": [0, 1]}).fold_indices == (0, 1)
+    with pytest.raises(FormatError, match=r"^fold_indices\[1\]: expected int, got str$"):
+        io.from_dict(EvaluationSettings, {"k": 2, "fold_indices": [0, "1"]})
+
+
 def make_records(n, label="PD"):
     return [
         SubjectRecord(
@@ -248,6 +411,42 @@ class TestManifest:
         lines[1] = '{"subject_id": "s000", "label": "PD"}'
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(FormatError, match="line 2"):
+            load_manifest(path)
+
+    def test_source_defaults_to_clinical(self, tmp_path):
+        path = tmp_path / "manifest.jsonl"
+        path.write_text(
+            '{"format_version": 1, "kind": "manifest"}\n'
+            '{"subject_id": "s0", "label": "PD", "gait_path": "g", "faces": []}\n'
+        )
+        assert load_manifest(path).records[0].source == "clinical"
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('["s000", "PD"]', "expected object, got list"),
+            ('{"subject_id": "s0", "label": "PD", "gait_path": "g", "faces": [3]}', r"faces\[0\]: expected object, got int"),
+            ('{"subject_id": 7, "label": "PD", "gait_path": "g", "faces": []}', "subject_id: expected str, got int"),
+            ('{"subject_id": "s0", "label": "PD", "gait_path": "g", "faces": [], "site": "x"}', "unknown key 'site'"),
+            ('{"subject_id": "s0", "label": "sick", "gait_path": "g", "faces": []}', "label must be one of"),
+        ],
+        ids=["record-is-list", "face-is-int", "int-subject-id", "unknown-key", "bad-label"],
+    )
+    def test_malformed_record_names_line_and_key(self, tmp_path, line, message):
+        path = tmp_path / "manifest.jsonl"
+        path.write_text('{"format_version": 1, "kind": "manifest"}\n' + line + "\n")
+        with pytest.raises(FormatError, match=f"line 2: {message}"):
+            load_manifest(path)
+
+    @pytest.mark.parametrize(
+        "raw",
+        [b'{"format_version": 1, "kind": "manifest"}\n{"subject_id": "\xff"}\n', b"[1]\n"],
+        ids=["not-utf8", "header-is-list"],
+    )
+    def test_unreadable_manifest_raises_format_error(self, tmp_path, raw):
+        path = tmp_path / "manifest.jsonl"
+        path.write_bytes(raw)
+        with pytest.raises(FormatError):
             load_manifest(path)
 
     def test_missing_header_rejected(self, tmp_path):

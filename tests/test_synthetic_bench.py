@@ -6,13 +6,15 @@ simulator's spectral signatures directly, without any learned model.
 """
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from pdfuse import ndnn
-from pdfuse.errors import ConfigError, ShapeError
+from pdfuse.errors import ConfigError, FormatError, ShapeError
+from pdfuse.io import from_dict
 from pdfuse.latent_editing import LatentVector
 from pdfuse.manifest import load_manifest
 from pdfuse.synthetic_bench import (
@@ -20,6 +22,7 @@ from pdfuse.synthetic_bench import (
     GaitSimSpec,
     ToyGeneratorSpec,
     build_benchmark,
+    load_generator_spec,
     make_toy_generator,
     sample_latent_clusters,
     simulate_gait,
@@ -81,7 +84,24 @@ class TestToyGenerator:
 
     def test_spec_round_trips_through_dict(self):
         spec = ToyGeneratorSpec(latent_dim=12, height=8, width=8, channels=1, gain=3.0, seed=5)
-        assert ToyGeneratorSpec.from_dict(spec.to_dict()) == spec
+        assert from_dict(ToyGeneratorSpec, json.loads(json.dumps(asdict(spec)))) == spec
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            (b'{"generator": {"latent_dim": "\xff"}}', "not valid UTF-8 JSON"),
+            (b'{"generator": ', "not valid UTF-8 JSON"),
+            (b'{"format_version": 1}', "generator: expected object, got NoneType"),
+            (b'{"generator": {"latent_dim": 4, "height": 4, "width": 4, "channels": 1, "gain": 1.0, '
+             b'"seed": 0, "extra": 1}}', "generator: unknown key 'extra'"),
+        ],
+        ids=["not-utf8", "not-json", "no-generator-key", "unknown-key"],
+    )
+    def test_malformed_spec_file_raises_format_error(self, tmp_path, raw, message):
+        path = tmp_path / "generator.json"
+        path.write_bytes(raw)
+        with pytest.raises(FormatError, match=message):
+            load_generator_spec(path)
 
 
 class TestLatentClusters:
@@ -235,6 +255,6 @@ class TestBuildBenchmark:
 
     def test_spec_serializes(self):
         spec = BenchmarkSpec(n_per_class=3)
-        as_dict = spec.to_dict()
+        as_dict = asdict(spec)
         assert as_dict["n_per_class"] == 3
         assert "seed" in as_dict
