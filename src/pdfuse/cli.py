@@ -50,6 +50,7 @@ from .gait_features import (
     train_gait_classifier,
 )
 from .io import (
+    _json_object,
     config_hash,
     from_dict,
     load_checkpoint,
@@ -166,11 +167,11 @@ def load_pipeline_config(path: str | Path | None = None) -> PipelineConfig:
         if f.name not in doc:
             continue
         default, value = getattr(cfg, f.name), doc[f.name]
-        if not dataclasses.is_dataclass(default):
-            try:
-                setattr(cfg, f.name, type(default)(value))
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"config key '{f.name}': {exc}") from exc
+        if not dataclasses.is_dataclass(default):  # seed and out_dir: exactly int and str
+            if type(value) is not type(default):
+                got = type(value).__name__
+                raise ConfigError(f"config key '{f.name}': expected {type(default).__name__}, got {got}")
+            setattr(cfg, f.name, value)
             continue
         if not isinstance(value, dict):
             raise ConfigError(f"config section '{f.name}' must be a mapping")
@@ -686,7 +687,7 @@ def _cmd_report(args, cfg: PipelineConfig) -> int:
         print(_report_manifest(path))
         return 0
     if path.suffix == ".json":
-        obj = json.loads(path.read_text())
+        obj = _json_object(path.read_bytes(), f"artifact {path}")
         if obj.get("kind") == "direction":
             print(_report_direction(path, args.oracle))
         else:

@@ -281,10 +281,6 @@ class GaitModelConfig:
         if self.partition_strategy not in PARTITION_STRATEGIES:
             raise ConfigError(f"unknown partition strategy {self.partition_strategy!r}")
 
-    @property
-    def num_blocks(self) -> int:
-        return len(self.channels)
-
 
 def window_count(num_frames: int, window_length: int, stride: int) -> int:
     """Number of sliding windows: floor((T - T_w) / stride) + 1, 0 if T < T_w."""

@@ -15,6 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InversionDivergedError, ShapeError
+from .ndnn import minimize
+
+GTOL = 1e-10  # latent gradient norm at which an inversion has converged
 
 
 @dataclass(frozen=True)
@@ -164,7 +167,9 @@ class InversionConfig:
     """Knobs for optimization-based inversion.
 
     ``lambda_mse`` and ``lambda_layers`` are the loss weights (all 1 by
-    default, with k = 4 perceptual layers). ``init`` selects the starting
+    default, with k = 4 perceptual layers). ``max_iterations`` caps the
+    accepted L-BFGS steps, and ``step_size`` is the length of the first
+    trial step, along the negative gradient. ``init`` selects the starting
     latent: "zeros", "random" (seeded), or "warm" (caller supplies one).
     """
 
@@ -172,10 +177,6 @@ class InversionConfig:
     lambda_layers: tuple[float, ...] = (1.0, 1.0, 1.0, 1.0)
     max_iterations: int = 500
     step_size: float = 0.05
-    relative_tolerance: float = 1e-6
-    tolerance_window: int = 10
-    step_decay: float = 0.5
-    min_step_size: float = 1e-12
     init: str = "zeros"
     seed: int = 0
 
@@ -184,6 +185,8 @@ class InversionConfig:
             raise ShapeError(f"unknown init mode {self.init!r}")
         if self.max_iterations < 1:
             raise ShapeError("max_iterations must be positive")
+        if not self.step_size > 0:
+            raise ShapeError(f"step_size must be positive, got {self.step_size}")
 
     @property
     def k(self) -> int:
@@ -220,21 +223,6 @@ def perceptual_loss(a: ImageTensor, b: ImageTensor, extractor: PerceptualExtract
     return total
 
 
-def _objective_and_pixel_grad(pixels, target_pixels, target_features, extractor, lambda_mse):
-    """Inversion objective at ``pixels`` and its gradient w.r.t. ``pixels``."""
-    n = pixels.size
-    resid = pixels - target_pixels
-    loss = lambda_mse / n * float(np.sum(resid * resid))
-    grad = 2.0 * lambda_mse / n * resid
-    feats = extractor.features(pixels)
-    weights = extractor.layer_weights
-    for j in range(extractor.num_layers):
-        diff = feats[j] - target_features[j]
-        loss += weights[j] / diff.size * float(np.sum(diff * diff))
-        grad += extractor.feature_backward(pixels, j, 2.0 * weights[j] / diff.size * diff)
-    return loss, grad
-
-
 def invert(
     target: ImageTensor,
     generator: Generator,
@@ -245,10 +233,10 @@ def invert(
     """Recover a latent whose decoding matches ``target``.
 
     Minimizes perceptual loss plus ``lambda_mse``-weighted mean squared pixel
-    error with Adam on the latent. Steps that would increase the objective
-    are rejected and the step size halved, so the recorded loss trace is
-    non-increasing and the returned objective never exceeds the one at the
-    initial latent.
+    error over the latent with ``ndnn.minimize`` (L-BFGS with Armijo
+    backtracking). Every accepted step lowers the objective, so the loss
+    trace is non-increasing. ``converged`` means the latent gradient norm
+    reached ``GTOL``; ``iterations`` counts the accepted steps.
     """
     if target.shape != generator.output_shape:
         raise ShapeError(
@@ -275,62 +263,28 @@ def invert(
             raise ShapeError("init='warm' requires a warm_start latent")
         if warm_start.dim != d:
             raise ShapeError(f"warm start has dim {warm_start.dim}, generator wants {d}")
-        current = warm_start.values.copy()
+        current = warm_start.values
 
-    target_pixels = target.pixels
-    target_features = extractor.features(target_pixels)
+    target_features = extractor.features(target.pixels)
+    weights = extractor.layer_weights
 
-    def evaluate(latent_values):
-        pixels = generator.forward(LatentVector(latent_values)).pixels
-        loss, grad_pix = _objective_and_pixel_grad(
-            pixels, target_pixels, target_features, extractor, config.lambda_mse
-        )
-        return loss, grad_pix
+    def fg(values):
+        """The objective at latent ``values`` and its gradient w.r.t. the latent."""
+        latent = LatentVector(values)
+        pixels = generator.forward(latent).pixels
+        resid = pixels - target.pixels
+        loss = config.lambda_mse / resid.size * float(np.sum(resid * resid))
+        grad = 2.0 * config.lambda_mse / resid.size * resid
+        for j, feature in enumerate(extractor.features(pixels)):
+            diff = feature - target_features[j]
+            loss += weights[j] / diff.size * float(np.sum(diff * diff))
+            grad += extractor.feature_backward(pixels, j, 2.0 * weights[j] / diff.size * diff)
+        return loss, generator.backward(latent, grad)
 
-    loss, grad_pix = evaluate(current)
-    if not np.isfinite(loss):
+    latent, trace, converged = minimize(fg, current, config.max_iterations, GTOL, config.step_size)
+    if not np.isfinite(trace[0]):
         raise InversionDivergedError(0, "objective non-finite at the initial latent")
-    trace = [loss]
-    if loss == 0.0:
-        return InversionResult(LatentVector(current), np.asarray(trace), 0, True)
-
-    lr = config.step_size
-    m = np.zeros(d)
-    v = np.zeros(d)
-    t = 0
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
-    converged = False
-    iterations = 0
-    for it in range(1, config.max_iterations + 1):
-        iterations = it
-        grad = generator.backward(LatentVector(current), grad_pix)
-        t_new = t + 1
-        m_new = beta1 * m + (1 - beta1) * grad
-        v_new = beta2 * v + (1 - beta2) * grad * grad
-        step = lr * (m_new / (1 - beta1**t_new)) / (np.sqrt(v_new / (1 - beta2**t_new)) + eps)
-        proposal = current - step
-        new_loss, new_grad_pix = evaluate(proposal)
-        if not np.isfinite(new_loss):
-            raise InversionDivergedError(it)
-        if new_loss <= loss:
-            current, loss, grad_pix = proposal, new_loss, new_grad_pix
-            m, v, t = m_new, v_new, t_new
-        else:
-            lr *= config.step_decay
-        trace.append(loss)
-        if loss == 0.0:
-            converged = True
-            break
-        w = config.tolerance_window
-        if len(trace) > w:
-            drop = trace[-1 - w] - trace[-1]
-            if drop / max(trace[-1 - w], 1e-300) < config.relative_tolerance:
-                converged = True
-                break
-        if lr < config.min_step_size:
-            converged = True
-            break
-    return InversionResult(LatentVector(current), np.asarray(trace), iterations, converged)
+    return InversionResult(LatentVector(latent), trace, len(trace) - 1, converged)
 
 
 def edit_latent(base, direction, strength: float) -> LatentVector:

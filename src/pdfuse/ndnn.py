@@ -11,6 +11,7 @@ test-suite uses for that.
 
 from __future__ import annotations
 
+import collections
 import hashlib
 
 import numpy as np
@@ -388,6 +389,50 @@ def fit(layers, n, forward, epochs, batch_size, learning_rate, rng) -> dict:
         trace["loss"].append(epoch_loss / n)
         trace["accuracy"].append(correct / n)
     return trace
+
+
+LBFGS_MEMORY = 10
+
+
+def minimize(fg, x0, max_iter, gtol, first_step):
+    """L-BFGS (Liu & Nocedal 1989) with Armijo backtracking: ``(x, loss_trace, converged)``.
+
+    ``fg(x)`` returns ``(loss, grad)``. The first step tries length ``first_step`` along
+    ``-grad``, later ones the two-loop recursion over the last ``LBFGS_MEMORY`` pairs with
+    ``s.y > 0``. A non-finite trial loss is backtracked; each accepted step lowers the loss
+    and adds it to ``loss_trace``. Stops at ``||grad|| <= gtol`` (``converged``, and nothing
+    else is), after ``max_iter`` accepted steps, or when 60 halvings cannot lower the loss.
+    """
+    x = np.array(x0, dtype=np.float64)
+    loss, g = fg(x)
+    trace = [loss]
+    pairs = collections.deque(maxlen=LBFGS_MEMORY)  # (s, y, 1 / s.y), oldest first
+    while len(trace) <= max_iter and np.linalg.norm(g) > gtol:
+        if pairs:
+            q, alphas = g.copy(), []
+            for s, y, rho in reversed(pairs):
+                alphas.append(rho * (s @ q))
+                q -= alphas[-1] * y
+            q /= pairs[-1][2] * (pairs[-1][1] @ pairs[-1][1])  # initial Hessian s.y / y.y
+            for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+                q += (alpha - rho * (y @ q)) * s
+            direction, t = -q, 1.0
+        else:
+            direction, t = -g / np.linalg.norm(g), first_step
+        slope = g @ direction
+        for _ in range(60):
+            new_loss, new_g = fg(x + t * direction)
+            if np.isfinite(new_loss) and new_loss < loss + 1e-4 * t * slope:
+                break
+            t *= 0.5
+        else:
+            break
+        s, y = t * direction, new_g - g
+        if s @ y > 0:
+            pairs.append((s, y, 1.0 / (s @ y)))
+        x, loss, g = x + s, new_loss, new_g
+        trace.append(loss)
+    return x, np.asarray(trace), bool(np.linalg.norm(g) <= gtol)
 
 
 def state_dict(named_layers: dict) -> dict[str, np.ndarray]:

@@ -123,6 +123,29 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match=f"config {message}"):
             load_pipeline_config(doc)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("seed: 3.7\n", "key 'seed': expected int, got float"),
+            ("seed: true\n", "key 'seed': expected int, got bool"),
+            ("seed: '3'\n", "key 'seed': expected int, got str"),
+            ("out_dir: 5\n", "key 'out_dir': expected str, got int"),
+        ],
+        ids=["float-seed", "bool-seed", "str-seed", "int-out-dir"],
+    )
+    def test_top_level_types_checked(self, tmp_path, text, message):
+        doc = tmp_path / "bad.yaml"
+        doc.write_text(text)
+        with pytest.raises(ConfigError, match=f"config {message}"):
+            load_pipeline_config(doc)
+
+    def test_top_level_values_kept_as_given(self, tmp_path):
+        doc = tmp_path / "config.yaml"
+        doc.write_text("seed: 3\nout_dir: runs/x\n")
+        cfg = load_pipeline_config(doc)
+        assert (cfg.seed, cfg.out_dir) == (3, "runs/x")
+        assert cfg.hash() == PipelineConfig(seed=3).hash()
+
     def test_int_for_float_is_kept_so_the_hash_holds(self, tmp_path):
         doc = tmp_path / "config.yaml"
         doc.write_text("fusion_train:\n  learning_rate: 1\n")
@@ -598,6 +621,11 @@ def _direction_unknown_diagnostic(pipeline, tmp):
     return ["report", "--artifact", str(tmp / "d.json")]
 
 
+def _list_artifact(pipeline, tmp):
+    (tmp / "x.json").write_text("[1, 2]")
+    return ["report", "--artifact", str(tmp / "x.json")]
+
+
 MALFORMED = [
     (_bad_generator, "FormatError", "generator: unknown key 'extra'"),
     (_binary_generator, "FormatError", "is not valid UTF-8 JSON"),
@@ -609,6 +637,7 @@ MALFORMED = [
     (_face_unknown_key, "FormatError", "config: unknown key 'extra'"),
     (_checkpoint_without_config, "FormatError", "header has no 'config' object"),
     (_direction_unknown_diagnostic, "FormatError", "diagnostics: unknown key 'lr'"),
+    (_list_artifact, "FormatError", "x.json is not a JSON object"),
 ]
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from pdfuse.direction_discovery import DirectionVector
 from pdfuse.errors import ShapeError
+from pdfuse.io import load_image
 from pdfuse.latent_editing import (
     ImageTensor,
     InversionConfig,
@@ -16,6 +17,7 @@ from pdfuse.latent_editing import (
     perceptual_loss,
     synthesize,
 )
+from pdfuse.synthetic_bench import BenchmarkSpec, build_benchmark, load_generator_spec, make_toy_generator
 
 RNG = np.random.default_rng(77)
 
@@ -63,6 +65,11 @@ class TestInversionConfig:
     def test_rejects_unknown_init_mode(self):
         with pytest.raises(ShapeError, match="init"):
             InversionConfig(init="hot")
+
+    @pytest.mark.parametrize("step_size", [0.0, -0.05, float("nan")])
+    def test_rejects_a_step_size_that_is_not_positive(self, step_size):
+        with pytest.raises(ShapeError, match="step_size"):
+            InversionConfig(step_size=step_size)
 
 
 class TestPerceptualLoss:
@@ -115,6 +122,17 @@ class TestInvert:
         trace = np.asarray(result.loss_trace)
         assert np.all(np.diff(trace) <= 0.0)
         assert trace[-1] <= trace[0]
+
+    def test_recovers_benchmark_face_pd0008_of_seed_24(self, tmp_path):
+        """A face on which a loop that reads a flat loss trace as convergence
+        stops at iteration 17, 0.378 from the oracle's latent."""
+        spec = BenchmarkSpec(n_per_class=9, gait_frames=64, n_expression_samples=2, seed=24)
+        paths = build_benchmark(spec, tmp_path)
+        generator, oracle = make_toy_generator(load_generator_spec(paths.generator_path))
+        face = load_image(paths.root / "subjects" / "pd0008" / "face_neutral.img")
+        result = invert(face, generator, config=InversionConfig())
+        assert result.converged
+        assert np.linalg.norm(result.latent.values - oracle(face).values) <= 1e-2
 
     def test_shape_mismatch_rejected(self, small_generator):
         generator, _ = small_generator

@@ -8,6 +8,8 @@ Agreement is expected near float64 precision for these smooth ops.
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdfuse import ndnn
 from pdfuse.errors import ShapeError, TrainingDivergedError
@@ -361,3 +363,78 @@ def test_params_checksum_ignores_insertion_order():
 def test_relative_error_zero_for_identical():
     x = RNG.normal(size=(4, 4))
     assert ndnn.relative_error(x, x.copy()) == 0.0
+
+
+def _spd_quadratic(n, seed):
+    """fg of ``0.5 (x - c).A (x - c)`` with a random SPD ``A``, and its minimizer ``c``.
+
+    The minimum is 0, so the loss resolves gradients far below any ``gtol`` used here.
+    """
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(n, n))
+    a = m @ m.T + 0.5 * np.eye(n)
+    c = rng.normal(size=n)
+    return (lambda x: (0.5 * (x - c) @ a @ (x - c), a @ (x - c))), c
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 10_000), st.sampled_from([1e-3, 0.05, 1.0, 100.0]))
+def test_minimize_solves_spd_quadratics(n, seed, first_step):
+    fg, solution = _spd_quadratic(n, seed)
+    x, trace, converged = ndnn.minimize(fg, np.zeros(n), 200, 1e-9, first_step)
+    assert converged
+    assert np.linalg.norm(fg(x)[1]) <= 1e-9
+    npt.assert_allclose(x, solution, atol=1e-6 * (1 + np.linalg.norm(solution)))
+    assert np.all(np.diff(trace) <= 0.0)
+    assert trace[-1] == fg(x)[0]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 10_000))
+def test_minimize_backtracks_from_non_finite_losses(n, seed):
+    """Beyond radius 1 the loss is inf, and the minimizer lies outside it."""
+    rng = np.random.default_rng(seed)
+    center = rng.normal(size=n)
+    center *= 3.0 / np.linalg.norm(center)
+
+    def fg(x):
+        loss = np.inf if np.linalg.norm(x) > 1.0 else float(np.sum((x - center) ** 2))
+        return loss, 2.0 * (x - center)
+
+    x, trace, converged = ndnn.minimize(fg, np.zeros(n), 50, 1e-10, 10.0)
+    assert np.all(np.isfinite(trace)) and np.all(np.diff(trace) <= 0.0)
+    assert np.linalg.norm(x) <= 1.0
+    assert trace[-1] < trace[0]
+    assert not converged
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 8), st.integers(0, 10_000), st.integers(1, 3))
+def test_minimize_iteration_cap_is_not_convergence(n, seed, max_iter):
+    fg, _ = _spd_quadratic(n, seed)
+    x, trace, converged = ndnn.minimize(fg, np.full(n, 5.0), max_iter, 1e-12, 1e-3)
+    assert len(trace) == max_iter + 1
+    assert np.linalg.norm(fg(x)[1]) > 1e-12
+    assert not converged
+
+
+def test_minimize_stops_when_the_loss_stops_falling():
+    """An offset of 1e6 hides loss changes below about 1e-10, so gtol = 0
+    is out of reach: the line search gives up long before the cap."""
+    quadratic, solution = _spd_quadratic(4, 3)
+
+    def fg(x):
+        loss, grad = quadratic(x)
+        return 1e6 + loss, grad
+
+    x, trace, converged = ndnn.minimize(fg, np.zeros(4), 1000, 0.0, 0.05)
+    assert not converged and len(trace) < 100
+    assert np.all(np.diff(trace) < 0.0)
+    npt.assert_allclose(x, solution, atol=1e-3)
+
+
+def test_minimize_returns_at_once_on_a_zero_gradient():
+    x0 = np.array([1.0, -2.0])
+    x, trace, converged = ndnn.minimize(lambda x: (0.0, np.zeros(2)), x0, 10, 0.0, 1.0)
+    npt.assert_array_equal(x, x0)
+    assert trace.tolist() == [0.0] and converged
