@@ -1,12 +1,17 @@
 """Batch command-line entry points for the full pipeline.
 
-One process, one command per invocation. Every command reads an optional
-config document (YAML or JSON, sections mirroring the module config types),
-derives per-stage sub-seeds from the single global seed, writes its
-artifacts under the chosen output directory, and records a ``run.json`` with
-the seed, effective config, config hash, and wall-clock timings. Metric
-files never contain timings, so reruns with the same config and seed are
-byte-identical.
+One process, one command per invocation. ``run_command`` does what every
+producing command shares, once: it reads an optional config document (YAML
+or JSON, sections mirroring the module config types), applies ``--seed``,
+``--out`` and every flag that sets a config field (the flag's argparse
+``dest`` is ``"<section>.<field>"``), derives each stage section's sub-seed
+from the single global seed, makes the output directory, times the command,
+and writes the command's metrics file and a ``run.json`` with the seed, the
+effective config (flag overrides and derived stage seeds included), its
+hash, wall-clock timings and the artifact list. Each ``_cmd_*`` function
+does only its stage's work and returns ``(metrics file name, metrics body,
+other artifacts, summary line)``. Metric files never contain timings, so
+reruns with the same config and seed are byte-identical.
 
 Environment override: ``PDFUSE_OUTDIR`` (output directory). An explicit
 ``--out`` beats the environment, which beats the config file.
@@ -29,7 +34,14 @@ import yaml
 from . import ndnn
 from .direction_discovery import MODES, FitHyper, cosine, fit_direction
 from .errors import ConfigError, FormatError, PdfuseError
-from .evaluation import augment_test_controls, compare_unimodal, evaluate, kfold_split
+from .evaluation import (
+    augment_test_controls,
+    compare_unimodal,
+    evaluate,
+    kfold_split,
+    subject_images,
+    subject_windows,
+)
 from .face_features import (
     EXPRESSIONS,
     FaceBackboneConfig,
@@ -45,8 +57,6 @@ from .gait_features import (
     GaitModelConfig,
     TrainOptions,
     classifier_from_arrays,
-    load_keypoints,
-    preprocess,
     train_gait_classifier,
 )
 from .io import (
@@ -63,19 +73,20 @@ from .io import (
     save_latent,
 )
 from .latent_editing import InversionConfig, LatentVector, edit_latent, invert
-from .manifest import (
-    LABEL_CONTROL,
-    LABEL_PD,
-    DatasetManifest,
-    FaceImageRef,
-    SubjectRecord,
-    load_manifest,
-)
+from .manifest import LABEL_CONTROL, LABEL_PD, DatasetManifest, SubjectRecord, load_manifest
 from .seeding import derive_seed
 from .synthetic_bench import BenchmarkSpec, ToyGenerator, build_benchmark, load_generator_spec
 
 _RUN_RECORD_VERSION = 1
 _METRICS_VERSION = 1
+# config section -> the stage name its seed is derived under
+_STAGE_SEEDS = {
+    "benchmark": "simulate",
+    "inversion": "invert",
+    "gait_train": "train-gait",
+    "face_train": "train-face",
+    "fusion_train": "train-fusion",
+}
 
 
 @dataclass(frozen=True)
@@ -122,19 +133,7 @@ class PipelineConfig:
     def hash(self) -> str:
         payload = asdict(self)
         payload.pop("out_dir")  # where artifacts land must not change what they contain
-        return config_hash(_jsonable(payload))
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    return obj
+        return config_hash(payload)
 
 
 def load_pipeline_config(path: str | Path | None = None) -> PipelineConfig:
@@ -187,58 +186,32 @@ def load_pipeline_config(path: str | Path | None = None) -> PipelineConfig:
     return cfg
 
 
-def _apply_common_flags(cfg: PipelineConfig, args) -> PipelineConfig:
-    """Resolve seed/out with flag > environment > config precedence."""
+def _apply_flags(cfg: PipelineConfig, args) -> None:
+    """Apply --seed, --out (flag > PDFUSE_OUTDIR > config) and every config-field flag."""
     if args.seed is not None:
         cfg.seed = args.seed
-    out_env = os.environ.get("PDFUSE_OUTDIR")
     if args.out is not None:
         cfg.out_dir = args.out
-    elif out_env:
-        cfg.out_dir = out_env
-    return cfg
+    elif os.environ.get("PDFUSE_OUTDIR"):
+        cfg.out_dir = os.environ["PDFUSE_OUTDIR"]
+    for dest, value in vars(args).items():
+        section, _, name = dest.partition(".")
+        if name and value is not None:
+            if name == "fold_indices":  # split here: argparse would turn int("x") into a usage exit
+                value = tuple(int(tok) for tok in value.split(","))
+            setattr(cfg, section, replace(getattr(cfg, section), **{name: value}))
 
 
 def _write_json(path: Path, obj: dict) -> None:
-    path.write_text(json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n")
-
-
-def _prepare_out(cfg: PipelineConfig) -> Path:
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _write_run_record(out: Path, command: str, cfg: PipelineConfig, timings: dict, artifacts) -> None:
-    record = {
-        "format_version": _RUN_RECORD_VERSION,
-        "command": command,
-        "seed": cfg.seed,
-        "config": asdict(cfg),
-        "config_hash": cfg.hash(),
-        "timings_s": timings,
-        "artifacts": sorted(str(a) for a in artifacts),
-    }
-    _write_json(out / "run.json", record)
-
-
-def _metrics_payload(cfg: PipelineConfig, body: dict) -> dict:
-    out = {"format_version": _METRICS_VERSION, "config_hash": cfg.hash()}
-    out.update(body)
-    return out
+    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 def _absolutize(rec: SubjectRecord, manifest: DatasetManifest) -> SubjectRecord:
     """Rebind a record's paths to absolute ones so mixed-root pools can merge."""
-    return SubjectRecord(
-        subject_id=rec.subject_id,
-        label=rec.label,
+    return replace(
+        rec,
         gait_path=str(manifest.resolve(rec.gait_path)),
-        faces=tuple(
-            FaceImageRef(path=str(manifest.resolve(f.path)), expression=f.expression)
-            for f in rec.faces
-        ),
-        source=rec.source,
+        faces=tuple(replace(f, path=str(manifest.resolve(f.path))) for f in rec.faces),
     )
 
 
@@ -285,183 +258,109 @@ def _load_fusion_checkpoint(
     return HybridFusionParams.from_arrays(arrays)
 
 
-def _expression_images_from_benchmark(bench_dir: Path, generator: ToyGenerator):
-    """Decode the stored per-expression latent samples into a labeled image set."""
-    samples_dir = bench_dir / "latent_samples"
+def _train_face_backbone(bench_dir: Path, cfg: PipelineConfig):
+    """Train the expression backbone on the benchmark's decoded latent samples."""
+    generator = ToyGenerator(load_generator_spec(bench_dir / "generator.json"))
     images, labels = [], []
     for name in EXPRESSIONS:
-        path = samples_dir / f"{name}.npy"
+        path = bench_dir / "latent_samples" / f"{name}.npy"
         if not path.exists():
             raise FormatError(f"benchmark at {bench_dir} is missing latent samples for {name!r}")
-        latents = np.load(path)
-        for row in latents:
+        for row in np.load(path):
             images.append(generator.forward(LatentVector(row)).pixels)
             labels.append(expression_index(name))
-    return np.stack(images), np.asarray(labels)
-
-
-def _train_face_backbone(bench_dir: Path, cfg: PipelineConfig):
-    generator = ToyGenerator(load_generator_spec(bench_dir / "generator.json"))
-    images, labels = _expression_images_from_benchmark(bench_dir, generator)
-    opts = replace(cfg.face_train, seed=derive_seed(cfg.seed, "train-face"))
-    return train_expression_classifier(images, labels, cfg.face_model, opts)
+    return train_expression_classifier(np.stack(images), np.asarray(labels), cfg.face_model, cfg.face_train)
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each gets (args, effective config, output directory, timings)
+# and returns (metrics file name, metrics body, other artifacts, summary line)
 
 
-def _cmd_simulate(args, cfg: PipelineConfig) -> int:
-    out = _prepare_out(cfg)
+def _cmd_simulate(args, cfg: PipelineConfig, out: Path, timings: dict):
     spec = cfg.benchmark
-    if args.n_per_class is not None:
-        spec = replace(spec, n_per_class=args.n_per_class)
-    if args.gait_frames is not None:
-        spec = replace(spec, gait_frames=args.gait_frames)
-    spec = replace(spec, seed=derive_seed(cfg.seed, "simulate"))
-    cfg.benchmark = spec
-    started = time.perf_counter()
     paths = build_benchmark(spec, out / "benchmark")
-    elapsed = time.perf_counter() - started
     _write_json(
         paths.root / "provenance.json",
         {"format_version": 1, "config_hash": cfg.hash(), "benchmark": asdict(spec)},
     )
-    metrics = _metrics_payload(
-        cfg,
-        {
-            "n_per_class": spec.n_per_class,
-            "n_subjects": 2 * spec.n_per_class,
-            "labels": {LABEL_PD: spec.n_per_class, LABEL_CONTROL: spec.n_per_class},
-            "images_per_subject": len(EXPRESSIONS),
-            "manifest": str(paths.manifest_path.relative_to(out)),
-        },
-    )
-    _write_json(out / "simulate_metrics.json", metrics)
-    _write_run_record(
-        out, "simulate", cfg, {"total": elapsed}, ["benchmark", "simulate_metrics.json"]
-    )
-    print(f"benchmark written to {paths.root} ({2 * spec.n_per_class} subjects)")
-    return 0
+    body = {
+        "n_per_class": spec.n_per_class,
+        "n_subjects": 2 * spec.n_per_class,
+        "labels": {LABEL_PD: spec.n_per_class, LABEL_CONTROL: spec.n_per_class},
+        "images_per_subject": len(EXPRESSIONS),
+        "manifest": str(paths.manifest_path.relative_to(out)),
+    }
+    summary = f"benchmark written to {paths.root} ({2 * spec.n_per_class} subjects)"
+    return "simulate_metrics.json", body, ["benchmark"], summary
 
 
-def _cmd_invert(args, cfg: PipelineConfig) -> int:
-    out = _prepare_out(cfg)
-    inv = replace(cfg.inversion, seed=derive_seed(cfg.seed, "invert"))
-    if args.max_iterations is not None:
-        inv = replace(inv, max_iterations=args.max_iterations)
-    if args.step_size is not None:
-        inv = replace(inv, step_size=args.step_size)
-    if args.init is not None:
-        inv = replace(inv, init=args.init)
-    cfg.inversion = inv
+def _cmd_invert(args, cfg: PipelineConfig, out: Path, timings: dict):
     generator = ToyGenerator(load_generator_spec(args.generator_spec))
     target = load_image(args.image)
     warm = load_latent(args.warm_start) if args.warm_start else None
-    started = time.perf_counter()
-    result = invert(target, generator, config=inv, warm_start=warm)
-    elapsed = time.perf_counter() - started
+    result = invert(target, generator, config=cfg.inversion, warm_start=warm)
     reconstruction = generator.forward(result.latent)
     mse = float(np.mean((reconstruction.pixels - target.pixels) ** 2))
     save_latent(out / "latent.pdl", result.latent, meta={"config_hash": cfg.hash()})
     save_image(out / "reconstruction.img", reconstruction, meta={"config_hash": cfg.hash()})
-    metrics = _metrics_payload(
-        cfg,
-        {
-            "final_loss": result.final_loss,
-            "iterations": result.iterations,
-            "converged": result.converged,
-            "per_pixel_mse": mse,
-        },
-    )
-    _write_json(out / "inversion_metrics.json", metrics)
-    _write_run_record(
-        out,
-        "invert",
-        cfg,
-        {"total": elapsed},
-        ["latent.pdl", "reconstruction.img", "inversion_metrics.json"],
-    )
-    print(
+    body = {
+        "final_loss": result.final_loss,
+        "iterations": result.iterations,
+        "converged": result.converged,
+        "per_pixel_mse": mse,
+    }
+    summary = (
         f"inverted in {result.iterations} iterations: loss {result.final_loss:.3e}, "
         f"per-pixel mse {mse:.3e}"
     )
-    return 0
+    return "inversion_metrics.json", body, ["latent.pdl", "reconstruction.img"], summary
 
 
-def _cmd_fit_direction(args, cfg: PipelineConfig) -> int:
-    out = _prepare_out(cfg)
-    mode = args.mode or cfg.direction.mode
+def _cmd_fit_direction(args, cfg: PipelineConfig, out: Path, timings: dict):
+    settings = cfg.direction
     hyper = FitHyper(
-        learning_rate=cfg.direction.learning_rate,
-        max_epochs=cfg.direction.max_epochs,
-        tolerance=cfg.direction.tolerance,
-        l2=cfg.direction.l2,
+        learning_rate=settings.learning_rate,
+        max_epochs=settings.max_epochs,
+        tolerance=settings.tolerance,
+        l2=settings.l2,
         seed=derive_seed(cfg.seed, "fit-direction"),
     )
-    latents_a = np.load(args.latents_a)
-    latents_b = np.load(args.latents_b)
-    started = time.perf_counter()
-    direction = fit_direction(latents_a, latents_b, args.source, args.target, mode, hyper)
-    elapsed = time.perf_counter() - started
+    latents_a, latents_b = np.load(args.latents_a), np.load(args.latents_b)
+    direction = fit_direction(latents_a, latents_b, args.source, args.target, settings.mode, hyper)
     save_direction(out / "direction.json", direction, meta={"config_hash": cfg.hash()})
-    body = {"mode": mode, "source": args.source, "target": args.target}
-    body.update(asdict(direction.diagnostics))
+    diagnostics = direction.diagnostics
+    body = {"mode": settings.mode, "source": args.source, "target": args.target, **asdict(diagnostics)}
+    summary = (
+        f"fitted {args.source} -> {args.target} ({settings.mode}): final loss "
+        f"{diagnostics.final_loss:.6e}, degenerate={diagnostics.degenerate}"
+    )
     if args.oracle:
-        oracle = load_direction(args.oracle)
-        similarity = cosine(direction.values, oracle.values)
-        body["cosine_to_oracle"] = similarity
-        print(f"cosine similarity to oracle: {similarity:.6f}")
-    _write_json(out / "fit_metrics.json", _metrics_payload(cfg, body))
-    _write_run_record(
-        out, "fit-direction", cfg, {"total": elapsed}, ["direction.json", "fit_metrics.json"]
-    )
-    print(
-        f"fitted {args.source} -> {args.target} ({mode}): final loss "
-        f"{direction.diagnostics.final_loss:.6e}, degenerate={direction.diagnostics.degenerate}"
-    )
-    return 0
+        body["cosine_to_oracle"] = cosine(direction.values, load_direction(args.oracle).values)
+        summary = f"cosine similarity to oracle: {body['cosine_to_oracle']:.6f}\n{summary}"
+    return "fit_metrics.json", body, ["direction.json"], summary
 
 
-def _cmd_synthesize(args, cfg: PipelineConfig) -> int:
-    out = _prepare_out(cfg)
+def _cmd_synthesize(args, cfg: PipelineConfig, out: Path, timings: dict):
     generator = ToyGenerator(load_generator_spec(args.generator_spec))
     base = load_latent(args.latent)
     direction = load_direction(args.direction)
-    started = time.perf_counter()
     edited = edit_latent(base, direction, args.strength)
     image = generator.forward(edited)
-    elapsed = time.perf_counter() - started
     save_latent(out / "edited_latent.pdl", edited, meta={"config_hash": cfg.hash()})
     save_image(out / "synthesized.img", image, meta={"config_hash": cfg.hash()})
-    metrics = _metrics_payload(
-        cfg,
-        {
-            "strength": args.strength,
-            "source": direction.source,
-            "target": direction.target,
-            "latent_shift_norm": float(np.linalg.norm(edited.values - base.values)),
-        },
-    )
-    _write_json(out / "synthesize_metrics.json", metrics)
-    _write_run_record(
-        out,
-        "synthesize",
-        cfg,
-        {"total": elapsed},
-        ["edited_latent.pdl", "synthesized.img", "synthesize_metrics.json"],
-    )
-    print(f"synthesized {direction.source} -> {direction.target} at strength {args.strength}")
-    return 0
+    body = {
+        "strength": args.strength,
+        "source": direction.source,
+        "target": direction.target,
+        "latent_shift_norm": float(np.linalg.norm(edited.values - base.values)),
+    }
+    summary = f"synthesized {direction.source} -> {direction.target} at strength {args.strength}"
+    return "synthesize_metrics.json", body, ["edited_latent.pdl", "synthesized.img"], summary
 
 
-def _cmd_train_face(args, cfg: PipelineConfig) -> int:
-    out = _prepare_out(cfg)
-    if args.epochs is not None:
-        cfg.face_train = replace(cfg.face_train, epochs=args.epochs)
-    started = time.perf_counter()
+def _cmd_train_face(args, cfg: PipelineConfig, out: Path, timings: dict):
     model, report = _train_face_backbone(Path(args.benchmark), cfg)
-    elapsed = time.perf_counter() - started
     save_checkpoint(
         out / "face.ckpt",
         "face_model",
@@ -470,28 +369,14 @@ def _cmd_train_face(args, cfg: PipelineConfig) -> int:
         meta={"config_hash": cfg.hash()},
     )
     (out / "face_report.txt").write_text(report.format_table() + "\n")
-    _write_json(out / "face_metrics.json", _metrics_payload(cfg, asdict(report)))
-    _write_run_record(
-        out, "train-face", cfg, {"total": elapsed}, ["face.ckpt", "face_report.txt", "face_metrics.json"]
-    )
-    print(report.format_table())
-    return 0
+    return "face_metrics.json", asdict(report), ["face.ckpt", "face_report.txt"], report.format_table()
 
 
-def _cmd_train_gait(args, cfg: PipelineConfig) -> int:
-    out = _prepare_out(cfg)
-    opts = replace(cfg.gait_train, seed=derive_seed(cfg.seed, "train-gait"))
-    if args.epochs is not None:
-        opts = replace(opts, epochs=args.epochs)
-    cfg.gait_train = opts
-    records = _load_records(args.manifest)
-    started = time.perf_counter()
-    subjects = []
-    for rec in records:
-        windows = preprocess(load_keypoints(rec.gait_path), cfg.gait_model)
-        subjects.append((windows, rec.label_index))
-    clf, trace = train_gait_classifier(subjects, cfg.gait_model, opts)
-    elapsed = time.perf_counter() - started
+def _cmd_train_gait(args, cfg: PipelineConfig, out: Path, timings: dict):
+    subjects = [
+        (subject_windows(rec, cfg.gait_model), rec.label_index) for rec in _load_records(args.manifest)
+    ]
+    clf, trace = train_gait_classifier(subjects, cfg.gait_model, cfg.gait_train)
     save_checkpoint(
         out / "gait.ckpt",
         "gait_classifier",
@@ -499,80 +384,55 @@ def _cmd_train_gait(args, cfg: PipelineConfig) -> int:
         config=asdict(cfg.gait_model),
         meta={"config_hash": cfg.hash()},
     )
-    metrics = _metrics_payload(
-        cfg,
-        {
-            "n_subjects": len(subjects),
-            "n_windows": int(sum(w.shape[0] for w, _ in subjects)),
-            "final_loss": trace["loss"][-1],
-            "final_train_accuracy": trace["accuracy"][-1],
-        },
-    )
-    _write_json(out / "gait_metrics.json", metrics)
-    _write_run_record(out, "train-gait", cfg, {"total": elapsed}, ["gait.ckpt", "gait_metrics.json"])
-    print(
+    body = {
+        "n_subjects": len(subjects),
+        "n_windows": int(sum(w.shape[0] for w, _ in subjects)),
+        "final_loss": trace["loss"][-1],
+        "final_train_accuracy": trace["accuracy"][-1],
+    }
+    summary = (
         f"trained gait classifier on {len(subjects)} subjects: final loss "
         f"{trace['loss'][-1]:.4f}, train accuracy {trace['accuracy'][-1]:.4f}"
     )
-    return 0
+    return "gait_metrics.json", body, ["gait.ckpt"], summary
 
 
-def _cmd_train_fusion(args, cfg: PipelineConfig) -> int:
-    out = _prepare_out(cfg)
-    fusion_cfg = replace(cfg.fusion_train, seed=derive_seed(cfg.seed, "train-fusion"))
-    cfg.fusion_train = fusion_cfg
+def _cmd_train_fusion(args, cfg: PipelineConfig, out: Path, timings: dict):
     gait_clf, gait_cfg = _load_gait_checkpoint(args.gait)
     face_model = _load_face_checkpoint(args.face)
     records = _load_records(args.manifest)
     gait_before, face_before = gait_clf.checksum(), face_model.checksum()
-    started = time.perf_counter()
-    feats_gait, feats_face, labels = [], [], []
-    for rec in records:
-        windows = preprocess(load_keypoints(rec.gait_path), gait_cfg)
-        feats_gait.append(gait_clf.subject_feature(windows))
-        images = np.stack([load_image(f.path).pixels for f in rec.faces])
-        feats_face.append(extract_face_features(images, face_model))
-        labels.append(rec.label_index)
     params, trace = train_fusion(
-        np.stack(feats_gait), np.stack(feats_face), np.asarray(labels), fusion_cfg
+        np.stack([gait_clf.subject_feature(subject_windows(rec, gait_cfg)) for rec in records]),
+        np.stack([extract_face_features(subject_images(rec), face_model) for rec in records]),
+        np.asarray([rec.label_index for rec in records]),
+        cfg.fusion_train,
     )
-    elapsed = time.perf_counter() - started
     if gait_clf.checksum() != gait_before or face_model.checksum() != face_before:
         raise PdfuseError("feature extractors changed during fusion training; they must stay frozen")
+    checksums = {"gait_checksum": gait_before, "face_checksum": face_before}
     save_checkpoint(
         out / "fusion.ckpt",
         "fusion",
         params.arrays(),
-        config={
-            "gait_dim": params.gait_dim,
-            "face_dim": params.face_dim,
-            "gait_checksum": gait_before,
-            "face_checksum": face_before,
-        },
+        config={"gait_dim": params.gait_dim, "face_dim": params.face_dim, **checksums},
         meta={"config_hash": cfg.hash()},
     )
-    metrics = _metrics_payload(
-        cfg,
-        {
-            "n_subjects": len(records),
-            "final_loss": trace["loss"][-1],
-            "final_train_accuracy": trace["accuracy"][-1],
-            "gait_checksum": gait_before,
-            "face_checksum": face_before,
-            "extractors_frozen": True,
-        },
-    )
-    _write_json(out / "fusion_metrics.json", metrics)
-    _write_run_record(out, "train-fusion", cfg, {"total": elapsed}, ["fusion.ckpt", "fusion_metrics.json"])
-    print(
+    body = {
+        "n_subjects": len(records),
+        "final_loss": trace["loss"][-1],
+        "final_train_accuracy": trace["accuracy"][-1],
+        "extractors_frozen": True,
+        **checksums,
+    }
+    summary = (
         f"trained fusion head on {len(records)} subjects: final loss {trace['loss'][-1]:.4f}, "
         f"train accuracy {trace['accuracy'][-1]:.4f}"
     )
-    return 0
+    return "fusion_metrics.json", body, ["fusion.ckpt"], summary
 
 
-def _cmd_evaluate(args, cfg: PipelineConfig) -> int:
-    out = _prepare_out(cfg)
+def _cmd_evaluate(args, cfg: PipelineConfig, out: Path, timings: dict):
     gait_clf, gait_cfg = _load_gait_checkpoint(args.gait)
     face_model = _load_face_checkpoint(args.face)
     fusion_params = _load_fusion_checkpoint(args.fusion, gait_clf, face_model)
@@ -581,58 +441,33 @@ def _cmd_evaluate(args, cfg: PipelineConfig) -> int:
     composition = None
     if args.controls:
         records, composition = augment_test_controls(records, _load_records(args.controls))
-    started = time.perf_counter()
     report = evaluate(models, records, resolve=Path, skip_failures=args.skip_failures)
-    elapsed = time.perf_counter() - started
     body = report.to_dict()
     if composition is not None:
         body["test_composition"] = composition
-    _write_json(out / "metrics.json", _metrics_payload(cfg, body))
-    _write_run_record(out, "evaluate", cfg, {"total": elapsed}, ["metrics.json"])
-    print(report.format_table())
-    return 0
+    return "metrics.json", body, [], report.format_table()
 
 
-def _cmd_compare(args, cfg: PipelineConfig) -> int:
-    out = _prepare_out(cfg)
+def _cmd_compare(args, cfg: PipelineConfig, out: Path, timings: dict):
     bench_dir = Path(args.benchmark)
     flat = DatasetManifest(records=_load_records(bench_dir / "manifest.jsonl"), root=None)
-    if args.k is not None:
-        cfg.evaluation = replace(cfg.evaluation, k=args.k)
-    if args.fold_indices is not None:
-        indices = tuple(int(tok) for tok in args.fold_indices.split(","))
-        cfg.evaluation = replace(cfg.evaluation, fold_indices=indices)
-    gait_opts = replace(cfg.gait_train, seed=derive_seed(cfg.seed, "train-gait"))
-    fusion_cfg = replace(cfg.fusion_train, seed=derive_seed(cfg.seed, "train-fusion"))
-    cfg.gait_train, cfg.fusion_train = gait_opts, fusion_cfg
-    started = time.perf_counter()
-    timings = {}
     if args.face:
         face_model = _load_face_checkpoint(args.face)
     else:
-        face_started = time.perf_counter()
+        started = time.perf_counter()
         face_model, _ = _train_face_backbone(bench_dir, cfg)
-        timings["train_face"] = time.perf_counter() - face_started
-    controls = _load_records(args.controls) if args.controls else None
-    plan = kfold_split(flat, k=cfg.evaluation.k, seed=derive_seed(cfg.seed, "folds"))
-    fold_indices = (
-        list(cfg.evaluation.fold_indices) if cfg.evaluation.fold_indices is not None else None
-    )
+        timings["train_face"] = time.perf_counter() - started
     report = compare_unimodal(
         flat,
-        plan,
+        kfold_split(flat, k=cfg.evaluation.k, seed=derive_seed(cfg.seed, "folds")),
         face_model,
         gait_cfg=cfg.gait_model,
-        gait_opts=gait_opts,
-        fusion_cfg=fusion_cfg,
-        controls=controls,
-        fold_indices=fold_indices,
+        gait_opts=cfg.gait_train,
+        fusion_cfg=cfg.fusion_train,
+        controls=_load_records(args.controls) if args.controls else None,
+        fold_indices=cfg.evaluation.fold_indices,
     )
-    timings["total"] = time.perf_counter() - started
-    _write_json(out / "comparison.json", _metrics_payload(cfg, asdict(report)))
-    _write_run_record(out, "compare", cfg, timings, ["comparison.json"])
-    print(report.format_table())
-    return 0
+    return "comparison.json", asdict(report), [], report.format_table()
 
 
 def _report_checkpoint(path: Path) -> str:
@@ -676,7 +511,7 @@ def _report_manifest(path: Path) -> str:
     return "\n".join(lines)
 
 
-def _cmd_report(args, cfg: PipelineConfig) -> int:
+def _cmd_report(args) -> int:
     path = Path(args.artifact)
     if not path.exists():
         raise FormatError(f"artifact {path} does not exist")
@@ -719,8 +554,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="build the synthetic two-class benchmark")
     _add_common(p)
-    p.add_argument("--n-per-class", type=int, help="subjects per class")
-    p.add_argument("--gait-frames", type=int, help="frames per gait sequence")
+    p.add_argument("--n-per-class", type=int, dest="benchmark.n_per_class", help="subjects per class")
+    p.add_argument("--gait-frames", type=int, dest="benchmark.gait_frames", help="frames per gait sequence")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("invert", help="recover the latent behind an image")
@@ -728,9 +563,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--image", required=True, help="target image (.img)")
     p.add_argument("--generator-spec", required=True, help="generator spec (generator.json)")
     p.add_argument("--warm-start", help="latent file to start from (.pdl)")
-    p.add_argument("--max-iterations", type=int)
-    p.add_argument("--step-size", type=float)
-    p.add_argument("--init", choices=("zeros", "random", "warm"))
+    p.add_argument("--max-iterations", type=int, dest="inversion.max_iterations")
+    p.add_argument("--step-size", type=float, dest="inversion.step_size")
+    p.add_argument("--init", choices=("zeros", "random", "warm"), dest="inversion.init")
     p.set_defaults(func=_cmd_invert)
 
     p = sub.add_parser("fit-direction", help="fit a latent direction between two clusters")
@@ -739,7 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--latents-b", required=True, help="target-class latents (.npy, n x d)")
     p.add_argument("--source", required=True, help="source expression tag")
     p.add_argument("--target", required=True, help="target expression tag")
-    p.add_argument("--mode", choices=MODES, help="objective variant")
+    p.add_argument("--mode", choices=MODES, dest="direction.mode", help="objective variant")
     p.add_argument("--oracle", help="oracle direction to print cosine similarity against")
     p.set_defaults(func=_cmd_fit_direction)
 
@@ -754,13 +589,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-face", help="train the expression backbone on benchmark samples")
     _add_common(p)
     p.add_argument("--benchmark", required=True, help="benchmark directory from `simulate`")
-    p.add_argument("--epochs", type=int)
+    p.add_argument("--epochs", type=int, dest="face_train.epochs")
     p.set_defaults(func=_cmd_train_face)
 
     p = sub.add_parser("train-gait", help="train the gait classifier on a manifest")
     _add_common(p)
     p.add_argument("--manifest", required=True, help="dataset manifest (.jsonl)")
-    p.add_argument("--epochs", type=int)
+    p.add_argument("--epochs", type=int, dest="gait_train.epochs")
     p.set_defaults(func=_cmd_train_gait)
 
     p = sub.add_parser("train-fusion", help="train the fusion head over frozen extractors")
@@ -789,8 +624,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--benchmark", required=True, help="benchmark directory from `simulate`")
     p.add_argument("--face", help="reuse a face checkpoint instead of training one")
     p.add_argument("--controls", help="control manifest appended to every test fold")
-    p.add_argument("--k", type=int, help="fold count")
-    p.add_argument("--fold-indices", help="comma-separated subset of folds to run")
+    p.add_argument("--k", type=int, dest="evaluation.k", help="fold count")
+    p.add_argument(
+        "--fold-indices", dest="evaluation.fold_indices", help="comma-separated subset of folds to run"
+    )
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("report", help="pretty-print a stored artifact")
@@ -804,10 +641,30 @@ def build_parser() -> argparse.ArgumentParser:
 def run_command(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "report":
-        return args.func(args, PipelineConfig())
-    cfg = load_pipeline_config(getattr(args, "config", None))
-    cfg = _apply_common_flags(cfg, args)
-    return args.func(args, cfg)
+        return args.func(args)
+    cfg = load_pipeline_config(args.config)
+    _apply_flags(cfg, args)
+    for section, stage in _STAGE_SEEDS.items():
+        setattr(cfg, section, replace(getattr(cfg, section), seed=derive_seed(cfg.seed, stage)))
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    timings = {}
+    started = time.perf_counter()
+    metrics_file, body, artifacts, summary = args.func(args, cfg, out, timings)
+    timings["total"] = time.perf_counter() - started
+    _write_json(out / metrics_file, {"format_version": _METRICS_VERSION, "config_hash": cfg.hash(), **body})
+    record = {
+        "format_version": _RUN_RECORD_VERSION,
+        "command": args.command,
+        "seed": cfg.seed,
+        "config": asdict(cfg),
+        "config_hash": cfg.hash(),
+        "timings_s": timings,
+        "artifacts": sorted([metrics_file, *artifacts]),
+    }
+    _write_json(out / "run.json", record)
+    print(summary)
+    return 0
 
 
 def main(argv=None) -> int:

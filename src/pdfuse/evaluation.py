@@ -8,6 +8,7 @@ face-only, fusion) that trains every head under the identical fold plan.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -232,14 +233,14 @@ class ComparisonReport:
         return "\n".join(lines)
 
 
-def _load_subject_data(manifest: DatasetManifest, records, cfg: GaitModelConfig):
-    """Windows and face pixel stacks per subject id, loaded once."""
-    data = {}
-    for rec in records:
-        windows = preprocess(load_keypoints(manifest.resolve(rec.gait_path)), cfg)
-        images = np.stack([load_image(manifest.resolve(f.path)).pixels for f in rec.faces])
-        data[rec.subject_id] = (windows, images)
-    return data
+def subject_windows(rec: SubjectRecord, cfg: GaitModelConfig, resolve=Path) -> np.ndarray:
+    """A subject's gait windows; ``resolve`` maps a record path to a real one."""
+    return preprocess(load_keypoints(resolve(rec.gait_path)), cfg)
+
+
+def subject_images(rec: SubjectRecord, resolve=Path) -> np.ndarray:
+    """A subject's face images stacked into one pixel array."""
+    return np.stack([load_image(resolve(f.path)).pixels for f in rec.faces])
 
 
 def compare_unimodal(
@@ -268,9 +269,9 @@ def compare_unimodal(
             raise ShapeError(f"fold plan references unknown subject {sid!r}")
 
     needed = [records[sid] for sid in plan.all_ids()] + controls
-    data = _load_subject_data(manifest, needed, gait_cfg)
+    windows = {rec.subject_id: subject_windows(rec, gait_cfg, manifest.resolve) for rec in needed}
     face_feature = {
-        rec.subject_id: extract_face_features(data[rec.subject_id][1], face_model)
+        rec.subject_id: extract_face_features(subject_images(rec, manifest.resolve), face_model)
         for rec in needed
     }
 
@@ -283,13 +284,13 @@ def compare_unimodal(
         fold_test_sizes.append(len(test_records))
 
         gait_clf, _ = train_gait_classifier(
-            [(data[r.subject_id][0], r.label_index) for r in train_records],
+            [(windows[r.subject_id], r.label_index) for r in train_records],
             gait_cfg,
             gait_opts,
         )
         train_labels = np.asarray([r.label_index for r in train_records])
         train_gait_feats = np.stack(
-            [gait_clf.subject_feature(data[r.subject_id][0]) for r in train_records]
+            [gait_clf.subject_feature(windows[r.subject_id]) for r in train_records]
         )
         train_face_feats = np.stack([face_feature[r.subject_id] for r in train_records])
 
@@ -298,8 +299,7 @@ def compare_unimodal(
 
         gait_pairs, face_pairs, fused_pairs = [], [], []
         for rec in test_records:
-            windows, _ = data[rec.subject_id]
-            gait_feat = gait_clf.subject_feature(windows)
+            gait_feat = gait_clf.subject_feature(windows[rec.subject_id])
             gait_logits, _ = gait_clf.head.forward(gait_feat[None, :])
             gait_pairs.append((rec.subject_id, rec.label, predict_is_pd(gait_logits[0])))
             face_logits, _ = face_head.forward(face_feature[rec.subject_id][None])

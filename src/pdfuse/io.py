@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .direction_discovery import DirectionVector, FitDiagnostics
-from .errors import FormatError
+from .errors import FormatError, ShapeError
 from .latent_editing import ImageTensor, LatentVector
 
 IMAGE_VERSION = 1
@@ -175,7 +175,7 @@ def load_image(path: str | Path) -> ImageTensor:
     pixels = np.frombuffer(raw, dtype="<f8").reshape(shape)
     try:
         return ImageTensor(pixels)
-    except Exception as exc:
+    except ShapeError as exc:
         raise FormatError(f"image {path}: {exc}") from exc
 
 
@@ -207,7 +207,7 @@ def load_latent(path: str | Path) -> LatentVector:
     values = np.frombuffer(payload, dtype="<f8")
     try:
         return LatentVector(values)
-    except Exception as exc:
+    except ShapeError as exc:
         raise FormatError(f"latent {path}: {exc}") from exc
 
 

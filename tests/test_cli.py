@@ -4,6 +4,7 @@ The heavyweight artifacts (benchmark, checkpoints) are built once per module
 by chaining the real commands, exactly as a user would.
 """
 
+import argparse
 import dataclasses
 import json
 import struct
@@ -11,13 +12,14 @@ import struct
 import numpy as np
 import pytest
 
-from pdfuse.cli import PipelineConfig, load_pipeline_config, main
+from pdfuse.cli import PipelineConfig, build_parser, load_pipeline_config, main
 from pdfuse.direction_discovery import DirectionVector
 from pdfuse.errors import ConfigError
 from pdfuse.fusion import FusionTrainConfig
 from pdfuse.io import load_checkpoint, load_latent, save_checkpoint, save_direction, save_latent
 from pdfuse.latent_editing import LatentVector
 from pdfuse.manifest import DatasetManifest, load_manifest, save_manifest
+from pdfuse.seeding import derive_seed
 
 CONFIG_TEXT = """
 benchmark:
@@ -192,6 +194,55 @@ class TestConfigLoading:
         assert a.hash() != PipelineConfig(seed=1).hash()
 
 
+class TestCommandSkeleton:
+    """What run_command does once for every producing command."""
+
+    @pytest.mark.parametrize(
+        "out, metrics",
+        [
+            ("sim", "simulate_metrics.json"),
+            ("face", "face_metrics.json"),
+            ("gait", "gait_metrics.json"),
+            ("fusion", "fusion_metrics.json"),
+        ],
+    )
+    def test_artifacts_exist_and_hashes_agree(self, pipeline, out, metrics):
+        out = pipeline["root"] / out
+        run = json.loads((out / "run.json").read_text())
+        assert metrics in run["artifacts"]
+        for name in run["artifacts"]:
+            assert (out / name).exists(), name
+        assert json.loads((out / metrics).read_text())["config_hash"] == run["config_hash"]
+
+    def test_config_flags_name_real_section_fields(self):
+        subcommands = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ).choices
+        config = PipelineConfig()
+        dests = [
+            action.dest
+            for sub in subcommands.values()
+            for action in sub._actions
+            if "." in action.dest
+        ]
+        assert len(dests) == 10
+        for dest in dests:
+            section, name = dest.split(".")
+            assert name in {f.name for f in dataclasses.fields(getattr(config, section))}, dest
+
+    def test_stage_seeds_recorded_as_they_ran(self, pipeline):
+        run = json.loads((pipeline["face_ckpt"].parent / "run.json").read_text())
+        expected = {
+            "benchmark": "simulate",
+            "inversion": "invert",
+            "gait_train": "train-gait",
+            "face_train": "train-face",
+            "fusion_train": "train-fusion",
+        }
+        for section, stage in expected.items():
+            assert run["config"][section]["seed"] == derive_seed(run["seed"], stage), section
+
+
 class TestSimulateCommand:
     def test_artifact_layout(self, pipeline):
         sim = pipeline["sim"]
@@ -253,14 +304,19 @@ class TestInvertCommand:
         assert "inverted in" in capsys.readouterr().out
 
 
+def _cluster_pair(tmp_path):
+    rng = np.random.default_rng(0)
+    a = 0.3 * rng.normal(size=(80, 16))
+    b = 0.3 * rng.normal(size=(80, 16))
+    b[:, 0] += 2.0
+    np.save(tmp_path / "a.npy", a)
+    np.save(tmp_path / "b.npy", b)
+    return a, b
+
+
 class TestFitDirectionCommand:
     def test_reports_cosine_against_oracle(self, pipeline, tmp_path, capsys):
-        rng = np.random.default_rng(0)
-        a = 0.3 * rng.normal(size=(80, 16))
-        b = 0.3 * rng.normal(size=(80, 16))
-        b[:, 0] += 2.0
-        np.save(tmp_path / "a.npy", a)
-        np.save(tmp_path / "b.npy", b)
+        a, b = _cluster_pair(tmp_path)
         gap = b.mean(axis=0) - a.mean(axis=0)
         oracle = DirectionVector(gap / np.linalg.norm(gap), "neutral", "happiness")
         save_direction(tmp_path / "oracle.json", oracle)
@@ -290,6 +346,23 @@ class TestFitDirectionCommand:
         metrics = json.loads((out / "fit_metrics.json").read_text())
         assert metrics["cosine_to_oracle"] > 0.9
         assert (out / "direction.json").exists()
+
+    def test_mode_flag_reaches_config(self, pipeline, tmp_path):
+        _cluster_pair(tmp_path)
+        runs = {}
+        for mode in ("standard", "paper_faithful"):
+            out = tmp_path / mode
+            run_ok(
+                [
+                    "fit-direction", "--config", str(pipeline["config"]),
+                    "--latents-a", str(tmp_path / "a.npy"), "--latents-b", str(tmp_path / "b.npy"),
+                    "--source", "neutral", "--target", "happiness", "--mode", mode, "--out", str(out),
+                ]
+            )
+            runs[mode] = json.loads((out / "run.json").read_text())
+            assert runs[mode]["config"]["direction"]["mode"] == mode
+            assert json.loads((out / "fit_metrics.json").read_text())["mode"] == mode
+        assert runs["standard"]["config_hash"] != runs["paper_faithful"]["config_hash"]
 
     def test_report_renders_direction_file(self, pipeline, tmp_path, capsys):
         values = np.zeros(8)
@@ -429,6 +502,19 @@ class TestCompareCommand:
         assert comparison["fold_indices"] == [0]
         out = capsys.readouterr().out
         assert "gait_only" in out and "fusion" in out
+
+    def test_trained_face_model_seed_and_timing_recorded(self, pipeline, tmp_path):
+        run_ok(
+            [
+                "compare", "--config", str(pipeline["config"]), "--benchmark", str(pipeline["bench"]),
+                "--k", "2", "--fold-indices", "0", "--seed", "1", "--out", str(tmp_path),
+            ]
+        )
+        run = json.loads((tmp_path / "run.json").read_text())
+        assert run["config"]["face_train"]["seed"] == derive_seed(1, "train-face")
+        assert run["config"]["evaluation"] == {"k": 2, "fold_indices": [0]}
+        assert set(run["timings_s"]) == {"train_face", "total"}
+        assert run["timings_s"]["train_face"] <= run["timings_s"]["total"]
 
 
 class TestEnvironmentOverrides:
@@ -621,6 +707,10 @@ def _direction_unknown_diagnostic(pipeline, tmp):
     return ["report", "--artifact", str(tmp / "d.json")]
 
 
+def _bad_fold_indices(pipeline, tmp):
+    return ["compare", "--benchmark", str(pipeline["bench"]), "--fold-indices", "0,x", "--out", str(tmp)]
+
+
 def _list_artifact(pipeline, tmp):
     (tmp / "x.json").write_text("[1, 2]")
     return ["report", "--artifact", str(tmp / "x.json")]
@@ -638,6 +728,7 @@ MALFORMED = [
     (_checkpoint_without_config, "FormatError", "header has no 'config' object"),
     (_direction_unknown_diagnostic, "FormatError", "diagnostics: unknown key 'lr'"),
     (_list_artifact, "FormatError", "x.json is not a JSON object"),
+    (_bad_fold_indices, "ValueError", "invalid literal for int()"),
 ]
 
 

@@ -77,6 +77,23 @@ def test_image_malformed_sidecar_raises_format_error(tmp_path, sidecar):
         io.load_image(_image_with_sidecar(tmp_path, sidecar))
 
 
+def test_only_a_shape_error_becomes_a_format_error(tmp_path, monkeypatch):
+    """A bad payload is a malformed file; any other error is not and must propagate."""
+    image, latent = tmp_path / "face.img", tmp_path / "z.pdl"
+    io.save_image(image, ImageTensor(np.full((2, 2, 1), 0.5)))
+    io.save_latent(latent, LatentVector(np.zeros(4)))
+    image.write_bytes(np.full(4, np.nan).astype("<f8").tobytes())
+    with pytest.raises(FormatError, match="non-finite"):
+        io.load_image(image)
+
+    def broken(values):
+        raise RuntimeError("bug")
+
+    monkeypatch.setattr(io, "LatentVector", broken)
+    with pytest.raises(RuntimeError, match="bug"):
+        io.load_latent(latent)
+
+
 def test_latent_round_trip(tmp_path):
     values = np.random.default_rng(1).normal(size=24)
     path = tmp_path / "z.pdl"
